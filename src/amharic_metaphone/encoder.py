@@ -137,13 +137,6 @@ class GlyphPair:
         return None
 
 
-def _rules_records(path: Path):
-    # Same grammar as the script tables: comments, [section], tokens.
-    from .ethiopic import _records
-
-    return _records(path)
-
-
 def load_mistrike_profile(
     path: Path | str, tables: ethiopic.ScriptTables | None = None
 ) -> MistrikeProfile:
@@ -153,7 +146,7 @@ def load_mistrike_profile(
     pairs: list[tuple[str, str]] = []
     sadis_pairs: list[tuple[str, str]] = []
     seen_shifted: set[str] = set()
-    for lineno, section, tokens in _rules_records(path):
+    for lineno, section, tokens in ethiopic._records(path):
         if section != "mistrike-pairs":
             raise LoadError(f"unknown section {section!r}", path=path, line=lineno)
         if len(tokens) != 2:
@@ -185,7 +178,7 @@ def load_glyph_pairs(
     tables = tables or ethiopic.default_tables()
     pairs: list[GlyphPair] = []
     used: set[str] = set()
-    for lineno, section, tokens in _rules_records(path):
+    for lineno, section, tokens in ethiopic._records(path):
         if section != "glyph-pairs":
             raise LoadError(f"unknown section {section!r}", path=path, line=lineno)
         if len(tokens) != 3 or tokens[2] not in ("initial", "any"):
@@ -311,17 +304,15 @@ def _swap_sites(key: str, sites: tuple[int, ...], table: dict[str, str]) -> str:
     return "".join(chars)
 
 
-def _phonological_alternates(key: str) -> list[str]:
+def _phonological_alternates(key: str) -> Iterator[str]:
     sites = [
         i
         for i in range(len(key) - 1)
         if key[i] in _NASAL_SWAP and key[i + 1] in _NASAL_TRIGGERS
     ]
-    alts: list[str] = []
     for r in range(1, len(sites) + 1):
         for combo in combinations(sites, r):
-            alts.append(_swap_sites(key, combo, _NASAL_SWAP))
-    return alts
+            yield _swap_sites(key, combo, _NASAL_SWAP)
 
 
 def phonological_alternates(key: str) -> set[str]:
@@ -329,7 +320,7 @@ def phonological_alternates(key: str) -> set[str]:
     return set(_phonological_alternates(key))
 
 
-def _glyph_alternates(key: str, pairs: tuple[GlyphPair, ...]) -> list[str]:
+def _glyph_alternates(key: str, pairs: tuple[GlyphPair, ...]) -> Iterator[str]:
     sites: list[tuple[int, str]] = []
     for i, ch in enumerate(key):
         for pair in pairs:
@@ -339,14 +330,12 @@ def _glyph_alternates(key: str, pairs: tuple[GlyphPair, ...]) -> list[str]:
             if partner is not None:
                 sites.append((i, partner))
                 break
-    alts: list[str] = []
     for r in range(1, len(sites) + 1):
         for combo in combinations(sites, r):
             chars = list(key)
             for i, partner in combo:
                 chars[i] = partner
-            alts.append("".join(chars))
-    return alts
+            yield "".join(chars)
 
 
 def glyph_alternates(
@@ -379,26 +368,38 @@ def encode(
     tables = tables or ethiopic.default_tables()
 
     canonical = remove_vowels(simplify(word, tables), config, tables)
-    staged: list[tuple[str, Tier]] = [(canonical, Tier.CANONICAL)]
+    unique: dict[str, Encoding] = {}
+    for key, tier in _staged(canonical, config):
+        if key not in unique:
+            unique[key] = Encoding(key=key, tier=tier)
+            if len(unique) == config.max_encodings:
+                break
+    return EncodingSet(encodings=tuple(unique.values()))
+
+
+def _staged(canonical: str, config: EncoderConfig) -> Iterator[tuple[str, Tier]]:
+    """Every candidate key in staging order, repeats included.
+
+    The order is the canonical key, its nasal combinations, the glyph
+    combinations of each key staged so far, then the downgrade of each
+    key staged so far. Generated lazily: the combinations grow
+    exponentially with the number of sites, and encode() stops reading
+    at max_encodings unique keys.
+    """
+    staged = [canonical]
+    yield canonical, Tier.CANONICAL
     for alt in _phonological_alternates(canonical):
-        staged.append((alt, Tier.PHONOLOGICAL))
-    for key, _ in list(staged):
+        staged.append(alt)
+        yield alt, Tier.PHONOLOGICAL
+    for key in staged[:]:
         for alt in _glyph_alternates(key, config.glyph_pairs):
-            staged.append((alt, Tier.GLYPH))
+            staged.append(alt)
+            yield alt, Tier.GLYPH
     if config.profile is not None:
-        for key, _ in list(staged):
+        for key in staged:
             downgraded = lcd_mistrike(key, config.profile)
             if downgraded != key:
-                staged.append((downgraded, Tier.INPUT_METHOD))
-
-    seen: set[str] = set()
-    unique: list[Encoding] = []
-    for key, tier in staged:
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(Encoding(key=key, tier=tier))
-    return EncodingSet(encodings=tuple(unique[: config.max_encodings]))
+                yield downgraded, Tier.INPUT_METHOD
 
 
 def config_fingerprint(

@@ -180,14 +180,19 @@ def data_dir() -> Path:
     return Path(str(resources.files("amharic_metaphone").joinpath("data")))
 
 
-def _records(path: Path):
-    """Yield (line_number, section, tokens) for a table file."""
+def _read_text(path: Path, kind: str) -> str:
+    """A data file's text; LoadError if it is missing or not UTF-8."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise LoadError("table file not found", path=path)
+        raise LoadError(f"{kind} file not found", path=path)
     except UnicodeDecodeError as exc:
         raise LoadError(f"not valid UTF-8: {exc}", path=path)
+
+
+def _records(path: Path):
+    """Yield (line_number, section, tokens) for a table file."""
+    text = _read_text(path, "table")
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

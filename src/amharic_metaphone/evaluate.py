@@ -121,12 +121,7 @@ def load_corpus(path: Path | str) -> list[CorpusEntry]:
     """Read corpus rows: canonical TAB variant TAB type [TAB expected_fail]."""
     path = Path(path)
     tables = ethiopic.default_tables()
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise LoadError("corpus file not found", path=path)
-    except UnicodeDecodeError as exc:
-        raise LoadError(f"not valid UTF-8: {exc}", path=path)
+    text = ethiopic._read_text(path, "corpus")
     entries: list[CorpusEntry] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\n")

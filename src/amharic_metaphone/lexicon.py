@@ -17,17 +17,7 @@ from . import ethiopic
 from .encoder import EncoderConfig, Tier, config_fingerprint, encode
 from .errors import ConfigMismatchError, InvalidInputError, LoadError
 
-try:
-    from ._speedups import levenshtein as _levenshtein
-
-    DISTANCE_BACKEND = "c-extension"
-except ImportError:  # pragma: no cover - depends on how the wheel was built
-    from ._distance_py import levenshtein as _levenshtein
-
-    DISTANCE_BACKEND = "pure-python"
-
 __all__ = [
-    "DISTANCE_BACKEND",
     "Lexicon",
     "EncodingIndex",
     "Suggestion",
@@ -43,8 +33,45 @@ _INDEX_MAGIC = "# amharic-metaphone-index v1"
 
 
 def distance(a: str, b: str) -> int:
-    """Unit-cost Levenshtein distance over Unicode scalars."""
-    return _levenshtein(a, b)
+    """Unit-cost Levenshtein distance over Unicode scalars.
+
+    Bit-parallel (Myers, JACM 1999, in Hyyrö's Levenshtein form, Nordic
+    J. Computing 2003): bit i of a mask stands for scalar i of the
+    shorter string, and pv/mv hold the +1/-1 vertical deltas of the
+    current DP column. Each scalar of the longer string advances the
+    column with a fixed number of int operations; Python ints make the
+    word as wide as the string.
+    """
+    if a == b:
+        return 0
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return len(b)
+    peq: dict[str, int] = {}
+    bit = 1
+    for ch in a:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, score = mask, 0, len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # The top row of the DP grows by one per column: shift in a +1.
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 @dataclass(frozen=True)
@@ -98,12 +125,7 @@ def load_lexicon(path: Path | str) -> Lexicon:
     """
     path = Path(path)
     tables = ethiopic.default_tables()
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise LoadError("lexicon file not found", path=path)
-    except UnicodeDecodeError as exc:
-        raise LoadError(f"not valid UTF-8: {exc}", path=path)
+    text = ethiopic._read_text(path, "lexicon")
     words: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -185,20 +207,16 @@ def dump_index(index: EncodingIndex, path: Path | str) -> None:
 def load_index(path: Path | str) -> EncodingIndex:
     """Reload a dump_index() file without re-encoding the lexicon."""
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError:
-        raise LoadError("index file not found", path=path)
-    except UnicodeDecodeError as exc:
-        raise LoadError(f"not valid UTF-8: {exc}", path=path)
+    lines = ethiopic._read_text(path, "index").splitlines()
     if not lines or lines[0].strip() != _INDEX_MAGIC:
         raise LoadError("not an index dump (bad header)", path=path, line=1)
-    fingerprint = ""
-    index = EncodingIndex()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.startswith("# fingerprint"):
-            fingerprint = line.split()[-1] if len(line.split()) > 2 else ""
-            continue
+    # Without its fingerprint a dump could not be checked against the
+    # query's config, so a missing or empty one is a malformed file.
+    fields = lines[1].split() if len(lines) > 1 else []
+    if len(fields) != 3 or fields[:2] != ["#", "fingerprint"]:
+        raise LoadError("expected: # fingerprint <hex>", path=path, line=2)
+    index = EncodingIndex(fingerprint=fields[2])
+    for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -210,5 +228,4 @@ def load_index(path: Path | str) -> EncodingIndex:
         except ValueError:
             raise LoadError(f"bad tier {tier_token!r}", path=path, line=lineno)
         index.add(key, word, tier)
-    index.fingerprint = fingerprint
     return index

@@ -1,6 +1,6 @@
-"""Tests for the edit-distance kernel, pure and compiled.
+"""Tests for the edit-distance kernel.
 
-The hypothesis suites compare both implementations against a tiny
+The hypothesis suites compare the bit-parallel kernel against a tiny
 recursive definition of Levenshtein distance, which is slow but
 obviously correct.
 """
@@ -11,21 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from amharic_metaphone import _distance_py
-from amharic_metaphone.lexicon import DISTANCE_BACKEND, distance
-
-try:
-    from amharic_metaphone import _speedups
-except ImportError:
-    _speedups = None
-
-needs_speedups = pytest.mark.skipif(
-    _speedups is None, reason="compiled extension not built"
-)
-
-IMPLEMENTATIONS = [_distance_py.levenshtein] + (
-    [_speedups.levenshtein] if _speedups else []
-)
+from amharic_metaphone.lexicon import distance
 
 
 def reference(a: str, b: str) -> int:
@@ -60,40 +46,30 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("impl", IMPLEMENTATIONS, ids=lambda f: f.__module__)
 @pytest.mark.parametrize("a, b, expected", CASES)
-def test_known_distances(impl, a, b, expected):
-    assert impl(a, b) == expected
+def test_known_distances(a, b, expected):
+    assert distance(a, b) == expected
 
 
-def test_active_backend_is_reported():
-    assert DISTANCE_BACKEND in ("c-extension", "pure-python")
-    assert distance("ሊም", "ላም") == 1
-
-
-@needs_speedups
-def test_backends_agree_on_the_frozen_cases():
-    for a, b, _ in CASES:
-        assert _speedups.levenshtein(a, b) == _distance_py.levenshtein(a, b)
-
-
-short = st.text(
-    alphabet=st.sampled_from("ልምንብትሀአab"), min_size=0, max_size=7
+# Astral scalars must count as one symbol each. Strings past 64 scalars
+# need more than one machine word of bitmask, and runs of one scalar
+# give a mask with many bits set.
+scalars = st.sampled_from("ልምንብትሀአab\U0001F600\U0001F601")
+strings = st.one_of(
+    st.text(alphabet=scalars, max_size=7),
+    st.text(alphabet=scalars, min_size=60, max_size=130),
+    st.lists(st.tuples(scalars, st.integers(1, 40)), max_size=5).map(
+        lambda runs: "".join(ch * n for ch, n in runs)
+    ),
 )
 
 
-@given(a=short, b=short)
+@given(a=strings, b=strings)
 def test_pure_matches_reference(a, b):
-    assert _distance_py.levenshtein(a, b) == reference(a, b)
+    assert distance(a, b) == reference(a, b)
 
 
-@needs_speedups
-@given(a=short, b=short)
-def test_compiled_matches_reference(a, b):
-    assert _speedups.levenshtein(a, b) == reference(a, b)
-
-
-@given(a=short, b=short, c=short)
+@given(a=strings, b=strings, c=strings)
 def test_metric_properties(a, b, c):
     d_ab = distance(a, b)
     assert d_ab >= 0
@@ -102,14 +78,13 @@ def test_metric_properties(a, b, c):
     assert d_ab <= distance(a, c) + distance(c, b)
 
 
-@given(a=short, b=short)
+@given(a=strings, b=strings)
 def test_bounds(a, b):
     d = distance(a, b)
     assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
 
 
 def test_supplementary_plane_characters():
-    # Py_UCS4 handling: astral chars must count as single symbols
     assert distance("\U0001F600", "\U0001F601") == 1
     assert distance("\U0001F600", "\U0001F600") == 0
     assert distance("a\U0001F600b", "ab") == 1

@@ -6,6 +6,9 @@ alternates, shift-slip downgrade) and double-checked character by
 character before being pinned here.
 """
 
+import time
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -239,6 +242,16 @@ def test_encode_cap_keeps_canonical_and_leading_alternates():
     assert only_one.keys() == (word,)
 
 
+def test_encode_stops_enumerating_at_the_cap():
+    # 64 nasal sites: staging every combination would take 2**64 keys.
+    word = "ምብ" * 64
+    start = time.perf_counter()
+    keys = encode(word).keys()
+    assert time.perf_counter() - start < 1.0
+    singles = tuple(word[:i] + "ን" + word[i + 1:] for i in range(0, 30, 2))
+    assert keys == (word,) + singles
+
+
 def test_config_validates_max_encodings():
     with pytest.raises(ValueError):
         EncoderConfig(max_encodings=0)
@@ -364,3 +377,61 @@ def test_wy_key_is_a_function_of_the_default_key(word):
         ch for ch in default_key[1:] if ch not in ("ው", "ይ")
     )
     assert encode(word, WY).canonical == stripped
+
+
+def staged_exhaustively(word, config):
+    """encode() by the pipeline's definition: stage every alternate of
+    every site combination, then keep the first max_encodings unique."""
+
+    def combos(key, sites):
+        for r in range(1, len(sites) + 1):
+            for combo in combinations(sites, r):
+                chars = list(key)
+                for i, ch in combo:
+                    chars[i] = ch
+                yield "".join(chars)
+
+    canonical = remove_vowels(simplify(word), config)
+    nasal = {"ም": "ን", "ን": "ም"}
+    sites = [(i, nasal[ch]) for i, ch in enumerate(canonical[:-1])
+             if ch in nasal and canonical[i + 1] in "ብፍ"]
+    staged = [(canonical, 0)] + [(k, 1) for k in combos(canonical, sites)]
+    for key, _ in list(staged):
+        sites = []
+        for i, ch in enumerate(key):
+            partners = [p.partner(ch) for p in config.glyph_pairs
+                        if (p.anywhere or i == 0) and p.partner(ch)]
+            if partners:
+                sites.append((i, partners[0]))
+        staged += [(k, 2) for k in combos(key, sites)]
+    if config.profile is not None:
+        downgraded = [lcd_mistrike(k, config.profile) for k, _ in staged]
+        staged += [(d, 3) for d, (k, _) in zip(downgraded, staged) if d != k]
+    unique = {}
+    for key, tier in staged:
+        unique.setdefault(key, tier)
+    return list(unique.items())[: config.max_encodings]
+
+
+# Syllables whose keys hit every rule: nasal sites, both glyph partners
+# (ፕ/ኝ, with ኘ also a shifted form) and the other shifted families.
+rule_dense_words = st.text(
+    alphabet=st.sampled_from("ምንብፍፕኝመነበፈፐኘጽጸጠጥጨልአሀ"), min_size=1, max_size=9
+)
+staging_configs = st.builds(
+    EncoderConfig,
+    wy_as_vowels=st.booleans(),
+    profile=st.sampled_from([default_mistrike_profile(), None]),
+    glyph_pairs=st.sampled_from([
+        default_glyph_pairs(),
+        (GlyphPair(a="ፕ", b="ኝ", anywhere=False),),
+        (GlyphPair(a="ም", b="ን", anywhere=True), GlyphPair(a="ፕ", b="ኝ", anywhere=True)),
+    ]),
+    max_encodings=st.sampled_from([1, 2, 5, 16, 10_000]),
+)
+
+
+@settings(max_examples=300)
+@given(word=rule_dense_words, config=staging_configs)
+def test_encode_matches_exhaustive_staging(word, config):
+    assert keys_with_tiers(word, config) == staged_exhaustively(word, config)

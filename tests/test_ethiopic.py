@@ -10,6 +10,7 @@ import unicodedata
 
 import pytest
 
+from amharic_metaphone.encoder import load_glyph_pairs, load_mistrike_profile
 from amharic_metaphone.errors import (
     InvalidOrderError,
     LoadError,
@@ -31,6 +32,8 @@ from amharic_metaphone.ethiopic import (
     load_script_tables,
     to_sadis,
 )
+from amharic_metaphone.evaluate import load_corpus
+from amharic_metaphone.lexicon import load_index, load_lexicon
 
 _PLAIN_SUFFIX = {1: "A", 2: "U", 3: "I", 4: "AA", 5: "EE", 6: "E", 7: "O"}
 _SERIES_SUFFIX = {11: "WA", 13: "WI", 14: "WAA", 15: "WEE", 16: "WE"}
@@ -281,8 +284,24 @@ def test_load_rejects_unknown_section(tmp_path):
 
 
 def test_load_reports_missing_file(tmp_path):
-    with pytest.raises(LoadError):
-        load_script_tables(tmp_path / "absent.txt")
+    absent = tmp_path / "absent.txt"
+    undecodable = tmp_path / "latin1.txt"
+    undecodable.write_bytes(b"\xe9\n")
+    loaders = [
+        (load_script_tables, "table"),
+        (load_mistrike_profile, "table"),
+        (load_glyph_pairs, "table"),
+        (load_lexicon, "lexicon"),
+        (load_corpus, "corpus"),
+        (load_index, "index"),
+    ]
+    for load, kind in loaders:
+        with pytest.raises(LoadError) as exc:
+            load(absent)
+        assert str(exc.value) == f"{absent}: {kind} file not found"
+        with pytest.raises(LoadError) as exc:
+            load(undecodable)
+        assert str(exc.value).startswith(f"{undecodable}: not valid UTF-8: ")
 
 
 def test_load_accepts_minimal_file(tmp_path):

@@ -170,20 +170,30 @@ def test_load_index_rejects_bad_files(tmp_path):
         load_index(bad_header)
     assert exc.value.line == 1
 
+    head = "# amharic-metaphone-index v1\n# fingerprint 0123456789abcdef\n"
     bad_tier = tmp_path / "t.txt"
-    bad_tier.write_text(
-        "# amharic-metaphone-index v1\nልም\tላም\tnine\n", encoding="utf-8"
-    )
+    bad_tier.write_text(head + "ልም\tላም\tnine\n", encoding="utf-8")
     with pytest.raises(LoadError) as exc:
         load_index(bad_tier)
-    assert exc.value.line == 2
+    assert exc.value.line == 3
 
     bad_columns = tmp_path / "c.txt"
-    bad_columns.write_text(
-        "# amharic-metaphone-index v1\nልም ላም 0\n", encoding="utf-8"
-    )
-    with pytest.raises(LoadError):
+    bad_columns.write_text(head + "ልም ላም 0\n", encoding="utf-8")
+    with pytest.raises(LoadError) as exc:
         load_index(bad_columns)
+    assert exc.value.line == 3
+
+    # A dump that cannot be checked against the query's config is refused.
+    for name, second in [("none", ""), ("empty", "# fingerprint \n"),
+                         ("late", "ልም\tላም\t0\n# fingerprint 0123456789abcdef\n")]:
+        unchecked = tmp_path / f"f-{name}.txt"
+        unchecked.write_text(
+            "# amharic-metaphone-index v1\n" + second + "ልም\tላም\t0\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(LoadError) as exc:
+            load_index(unchecked)
+        assert exc.value.line == 2
 
     with pytest.raises(LoadError):
         load_index(tmp_path / "absent.txt")
