@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .encoder import EncoderConfig, encode, load_mistrike_profile
 from .errors import AmharicMetaphoneError
-from .ethiopic import default_tables, is_ethiopic
+from .ethiopic import default_tables
 from .evaluate import ERROR_TYPE_LABELS, evaluate, load_corpus
 from .lexicon import build_index, dump_index, load_lexicon, suggest
 
@@ -91,7 +91,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         else [_nfc(w) for w in args.words]
     )
     for word in words:
-        if args.stdin and not all(is_ethiopic(ch, tables) for ch in word):
+        if args.stdin and not tables.supported.issuperset(word):
             # Bulk text carries names, numbers, punctuation runs; pass
             # them through with a '-' tier flag instead of failing.
             if args.format == "jsonl":

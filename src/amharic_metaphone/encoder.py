@@ -13,6 +13,12 @@ canonical key the encoder grows a small prioritized set of alternates:
 Lower tiers are more trustworthy matches. Keys contain only sixth-order
 (sadis) consonants, except a single leading አ marking a word-initial
 vowel.
+
+encode() takes the canonical key from the per-scalar maps compiled into
+the script tables (ScriptTables.initial_keys and later_keys), one
+translate per word. simplify() and remove_vowels() spell the two steps
+out character by character; they are the readable reference the
+compiled maps are tested against.
 """
 
 from __future__ import annotations
@@ -60,6 +66,9 @@ _YOD = "ይ"   # ይ
 # Nasal alternation: ም and ን trade places before these consonants.
 _NASAL_SWAP = {"ም": "ን", "ን": "ም"}
 _NASAL_TRIGGERS = frozenset({"ብ", "ፍ"})
+
+# Deletes ው and ይ: the wy_as_vowels filter, for str.translate.
+_WY_DELETE = {ord(_WAW): None, ord(_YOD): None}
 
 
 class Tier(IntEnum):
@@ -116,9 +125,16 @@ class MistrikeProfile:
 
     pairs: tuple[tuple[str, str], ...]
     sadis_pairs: tuple[tuple[str, str], ...]
+    _key_table: dict[int, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_key_table", {ord(a): b for a, b in self.sadis_pairs}
+        )
 
     def key_table(self) -> dict[int, str]:
-        return {ord(a): b for a, b in self.sadis_pairs}
+        """The shifted-to-plain map in key alphabet, for str.translate."""
+        return self._key_table
 
 
 @dataclass(frozen=True)
@@ -199,23 +215,23 @@ def load_glyph_pairs(
 
 
 @lru_cache(maxsize=None)
-def _cached_profile(path_str: str) -> MistrikeProfile:
-    return load_mistrike_profile(Path(path_str))
+def _profile_in(directory: Path) -> MistrikeProfile:
+    return load_mistrike_profile(directory / "mistrike_profile.txt")
 
 
 @lru_cache(maxsize=None)
-def _cached_glyph_pairs(path_str: str) -> tuple[GlyphPair, ...]:
-    return load_glyph_pairs(Path(path_str))
+def _glyph_pairs_in(directory: Path) -> tuple[GlyphPair, ...]:
+    return load_glyph_pairs(directory / "glyph_pairs.txt")
 
 
 def default_mistrike_profile() -> MistrikeProfile:
-    """The bundled phonetic-keyboard profile."""
-    return _cached_profile(str(ethiopic.data_dir() / "mistrike_profile.txt"))
+    """The bundled phonetic-keyboard profile, read once per data directory."""
+    return _profile_in(ethiopic.data_dir())
 
 
 def default_glyph_pairs() -> tuple[GlyphPair, ...]:
-    """The bundled glyph-confusion table."""
-    return _cached_glyph_pairs(str(ethiopic.data_dir() / "glyph_pairs.txt"))
+    """The bundled glyph-confusion table, read once per data directory."""
+    return _glyph_pairs_in(ethiopic.data_dir())
 
 
 @dataclass(frozen=True)
@@ -367,7 +383,7 @@ def encode(
         config = EncoderConfig()
     tables = tables or ethiopic.default_tables()
 
-    canonical = remove_vowels(simplify(word, tables), config, tables)
+    canonical = _canonical(word, config.wy_as_vowels, tables)
     unique: dict[str, Encoding] = {}
     for key, tier in _staged(canonical, config):
         if key not in unique:
@@ -375,6 +391,17 @@ def encode(
             if len(unique) == config.max_encodings:
                 break
     return EncodingSet(encodings=tuple(unique.values()))
+
+
+def _canonical(word: str, wy_as_vowels: bool, tables: ethiopic.ScriptTables) -> str:
+    """remove_vowels(simplify(word)) through the tables' compiled maps."""
+    if not tables.supported.issuperset(word):
+        pos = next(i for i, ch in enumerate(word) if ch not in tables.supported)
+        raise InvalidInputError(word[pos], pos, word)
+    key = tables.initial_keys[ord(word[0])] + word[1:].translate(tables.later_keys)
+    if wy_as_vowels:
+        key = key[:1] + key[1:].translate(_WY_DELETE)
+    return key
 
 
 def _staged(canonical: str, config: EncoderConfig) -> Iterator[tuple[str, Tier]]:
@@ -410,7 +437,12 @@ def config_fingerprint(
     Indexes store this so a query under a different config is rejected
     instead of silently missing.
     """
-    tables = tables or ethiopic.default_tables()
+    return _fingerprint(config, tables or ethiopic.default_tables())
+
+
+@lru_cache(maxsize=64)
+def _fingerprint(config: EncoderConfig, tables: ethiopic.ScriptTables) -> str:
+    # Keyed on the config's value and the tables' identity.
     parts = [
         f"wy={int(config.wy_as_vowels)}",
         f"max={config.max_encodings}",

@@ -27,7 +27,7 @@ and numerals.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
@@ -113,6 +113,9 @@ _FAMILY_ROWS = (
 
 _ENV_DATA_DIR = "AMHARIC_METAPHONE_DATA"
 
+_ALEF = "አ"
+_WAW = "ው"
+
 
 class Labiovelar(Enum):
     """How a syllable participates in labiovelar handling."""
@@ -130,7 +133,7 @@ class SyllableInfo:
     char: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScriptTables:
     """Script data driving the encoder.
 
@@ -138,6 +141,13 @@ class ScriptTables:
     plus the standalone ʷ-series merged into their base families).
     representative maps each family to its homophone-class head; families
     absent from the mapping are their own head.
+
+    The remaining fields are derived from these: supported is the set
+    of supported scalars, and initial_keys and later_keys are the
+    str.translate maps from each of them to the fragment it adds to a
+    canonical key at the start of a word and after it (homophone merge
+    plus vowel strip, before the wy_as_vowels filter). Tables compare
+    and hash by identity.
     """
 
     by_char: Mapping[str, tuple[str, int]]
@@ -145,6 +155,30 @@ class ScriptTables:
     representative: Mapping[str, str]
     vowel_carriers: frozenset[str]
     labiovelar_map: Mapping[str, tuple[str, int]]
+    initial_keys: Mapping[int, str] = field(init=False, repr=False)
+    later_keys: Mapping[int, str] = field(init=False, repr=False)
+    supported: frozenset[str] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        initial: dict[int, str] = {}
+        later: dict[int, str] = {}
+        for ch, (family, order) in self.by_char.items():
+            code = ord(ch)
+            head = self.representative_of(family)
+            if head in self.vowel_carriers:
+                # Step 1 writes every carrier as bare አ, which step 2
+                # then reads as a syllable of its own.
+                head, order = self.representative_of(_ALEF), 1
+            if head in self.vowel_carriers:
+                initial[code], later[code] = _ALEF, ""
+                continue
+            fragment = self.by_family[(head, SADIS)]
+            if order == WA:
+                fragment += _WAW
+            initial[code] = later[code] = fragment
+        object.__setattr__(self, "initial_keys", initial)
+        object.__setattr__(self, "later_keys", later)
+        object.__setattr__(self, "supported", frozenset(self.by_char))
 
     def representative_of(self, family: str) -> str:
         return self.representative.get(family, family)
@@ -172,9 +206,14 @@ def data_dir() -> Path:
     """Directory holding the bundled table files.
 
     The AMHARIC_METAPHONE_DATA environment variable overrides the
-    packaged default.
+    packaged default. The variable is read on every call; the path it
+    names is built once per value.
     """
-    override = os.environ.get(_ENV_DATA_DIR)
+    return _resolve_data_dir(os.environ.get(_ENV_DATA_DIR))
+
+
+@lru_cache(maxsize=None)
+def _resolve_data_dir(override: str | None) -> Path:
     if override:
         return Path(override)
     return Path(str(resources.files("amharic_metaphone").joinpath("data")))
@@ -282,13 +321,16 @@ def load_script_tables(path: Path | str) -> ScriptTables:
 
 
 @lru_cache(maxsize=None)
-def _cached_tables(path_str: str) -> ScriptTables:
-    return load_script_tables(Path(path_str))
+def _tables_in(directory: Path) -> ScriptTables:
+    return load_script_tables(directory / "script_tables.txt")
 
 
 def default_tables() -> ScriptTables:
-    """The bundled script tables (or the AMHARIC_METAPHONE_DATA override)."""
-    return _cached_tables(str(data_dir() / "script_tables.txt"))
+    """The bundled script tables (or the AMHARIC_METAPHONE_DATA override).
+
+    Read once per data directory per process.
+    """
+    return _tables_in(data_dir())
 
 
 def decompose(ch: str, tables: ScriptTables | None = None) -> SyllableInfo | None:
@@ -344,4 +386,6 @@ def is_vowel_carrier(ch: str, tables: ScriptTables | None = None) -> bool:
 
 def is_ethiopic(ch: str, tables: ScriptTables | None = None) -> bool:
     """True if the character is a supported Ethiopic syllable."""
-    return decompose(ch, tables) is not None
+    if len(ch) != 1:
+        raise ValueError(f"expected a single character, got {ch!r}")
+    return ch in (tables or default_tables()).supported

@@ -8,6 +8,7 @@ itself.
 
 from __future__ import annotations
 
+import os
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -194,14 +195,26 @@ def suggest(
 
 
 def dump_index(index: EncodingIndex, path: Path | str) -> None:
-    """Write the index as sorted key/word/tier lines, reload-ready."""
+    """Write the index as sorted key/word/tier lines, reload-ready.
+
+    The lines go to a new file beside the target, which then replaces
+    the target in one step: a write that fails leaves any previous dump
+    as it was and removes its own partial file.
+    """
     path = Path(path)
     lines = [_INDEX_MAGIC, f"# fingerprint {index.fingerprint}"]
     for key in sorted(index.mapping):
         bucket = index.mapping[key]
         for word in sorted(bucket):
             lines.append(f"{key}\t{word}\t{int(bucket[word])}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    partial = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(partial, "x", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_index(path: Path | str) -> EncodingIndex:

@@ -10,7 +10,7 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amharic_metaphone.encoder import (
@@ -36,7 +36,12 @@ from amharic_metaphone.errors import (
     InvalidInputError,
     LoadError,
 )
-from amharic_metaphone.ethiopic import SADIS, decompose, default_tables
+from amharic_metaphone.ethiopic import (
+    SADIS,
+    decompose,
+    default_tables,
+    load_script_tables,
+)
 
 NO_PROFILE = EncoderConfig(profile=None)
 WY = EncoderConfig(wy_as_vowels=True)
@@ -257,6 +262,23 @@ def test_config_validates_max_encodings():
         EncoderConfig(max_encodings=0)
 
 
+def test_fingerprint_memo_keeps_table_sets_apart(monkeypatch, tmp_path):
+    monkeypatch.delenv("AMHARIC_METAPHONE_DATA", raising=False)
+    config = EncoderConfig()
+    bundled = config_fingerprint(config)
+    path = tmp_path / "script_tables.txt"
+    path.write_text("[vowel-carriers]\nአ\n", encoding="utf-8")
+    monkeypatch.setenv("AMHARIC_METAPHONE_DATA", str(tmp_path))
+    override = config_fingerprint(config)
+    assert override != bundled
+    assert config_fingerprint(config, default_tables()) == override
+    monkeypatch.delenv("AMHARIC_METAPHONE_DATA")
+    assert config_fingerprint(config) == bundled
+    # The digest depends on the tables' contents, not on which object
+    # holds them.
+    assert config_fingerprint(config, load_script_tables(path)) == override
+
+
 def test_config_fingerprint_tracks_settings():
     base = config_fingerprint(EncoderConfig())
     assert base == config_fingerprint(EncoderConfig())
@@ -435,3 +457,68 @@ staging_configs = st.builds(
 @given(word=rule_dense_words, config=staging_configs)
 def test_encode_matches_exhaustive_staging(word, config):
     assert keys_with_tiers(word, config) == staged_exhaustively(word, config)
+
+
+# --- the compiled canonical key against simplify + remove_vowels ------------
+
+# The bundled tables, the minimal file, and two tables whose carrier
+# class leaves out አ: simplify writes every carrier as bare አ, which then
+# keys as a consonant (እ, or ህ when አ joins the ሀ class).
+_ORACLE_TABLES = {
+    "minimal": "# nothing but a comment\n[vowel-carriers]\nአ\n",
+    "carrier-without-alef": "[vowel-carriers]\nዐ\n",
+    "alef-as-consonant": (
+        "[homophone-classes]\nሀ ሐ አ\n[labiovelar-map]\nኋ ኀ 14\n"
+        "[vowel-carriers]\nዐ\n"
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=["bundled", *_ORACLE_TABLES])
+def oracle_tables(request, tmp_path_factory):
+    if request.param == "bundled":
+        return default_tables()
+    path = tmp_path_factory.mktemp("tables") / "script_tables.txt"
+    path.write_text(_ORACLE_TABLES[request.param], encoding="utf-8")
+    return load_script_tables(path)
+
+
+def _canonical_pair(word, wy, tables):
+    config = EncoderConfig(wy_as_vowels=wy, profile=None, glyph_pairs=(),
+                           max_encodings=1)
+    return (encode(word, config, tables).canonical,
+            remove_vowels(simplify(word, tables), config, tables))
+
+
+@pytest.mark.parametrize("wy", [False, True])
+def test_compiled_key_matches_the_oracle_for_every_scalar(oracle_tables, wy):
+    for ch in sorted(oracle_tables.supported):
+        for word in (ch, ch + ch, "ለ" + ch):
+            compiled, oracle = _canonical_pair(word, wy, oracle_tables)
+            assert compiled == oracle, word
+
+
+@settings(max_examples=300)
+@given(data=st.data(), wy=st.booleans())
+def test_compiled_key_matches_the_oracle_on_words(oracle_tables, data, wy):
+    word = data.draw(st.text(
+        alphabet=st.sampled_from(sorted(oracle_tables.supported)),
+        min_size=1, max_size=12))
+    compiled, oracle = _canonical_pair(word, wy, oracle_tables)
+    assert compiled == oracle
+
+
+@given(data=st.data())
+def test_compiled_key_reports_bad_scalars_like_the_oracle(oracle_tables, data):
+    supported = sorted(oracle_tables.supported)
+    word = data.draw(st.text(alphabet=st.sampled_from(supported), max_size=6))
+    bad = data.draw(st.sampled_from("ፘ፡፩a ቋ") | st.characters())
+    assume(bad not in oracle_tables.supported)
+    pos = data.draw(st.integers(0, len(word)))
+    word = word[:pos] + bad + word[pos:]
+    with pytest.raises(InvalidInputError) as compiled:
+        encode(word, NO_PROFILE, oracle_tables)
+    with pytest.raises(InvalidInputError) as oracle:
+        simplify(word, oracle_tables)
+    for exc in (compiled.value, oracle.value):
+        assert (exc.char, exc.position, exc.word) == (bad, pos, word)

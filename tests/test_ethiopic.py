@@ -10,7 +10,16 @@ import unicodedata
 
 import pytest
 
-from amharic_metaphone.encoder import load_glyph_pairs, load_mistrike_profile
+from amharic_metaphone import encoder, ethiopic
+from amharic_metaphone.encoder import (
+    EncoderConfig,
+    GlyphPair,
+    default_glyph_pairs,
+    default_mistrike_profile,
+    encode,
+    load_glyph_pairs,
+    load_mistrike_profile,
+)
 from amharic_metaphone.errors import (
     InvalidOrderError,
     LoadError,
@@ -33,7 +42,13 @@ from amharic_metaphone.ethiopic import (
     to_sadis,
 )
 from amharic_metaphone.evaluate import load_corpus
-from amharic_metaphone.lexicon import load_index, load_lexicon
+from amharic_metaphone.lexicon import (
+    Lexicon,
+    build_index,
+    load_index,
+    load_lexicon,
+    suggest,
+)
 
 _PLAIN_SUFFIX = {1: "A", 2: "U", 3: "I", 4: "AA", 5: "EE", 6: "E", 7: "O"}
 _SERIES_SUFFIX = {11: "WA", 13: "WI", 14: "WAA", 15: "WEE", 16: "WE"}
@@ -230,6 +245,55 @@ def test_data_dir_env_override(monkeypatch, tmp_path):
     assert data_dir() == tmp_path
     monkeypatch.delenv("AMHARIC_METAPHONE_DATA")
     assert data_dir().name == "data"
+
+
+def test_bundled_data_is_resolved_once(monkeypatch):
+    monkeypatch.delenv("AMHARIC_METAPHONE_DATA", raising=False)
+    for cached in (ethiopic._resolve_data_dir, ethiopic._tables_in,
+                   encoder._profile_in, encoder._glyph_pairs_in,
+                   encoder._fingerprint):
+        cached.cache_clear()
+    calls = []
+    files = ethiopic.resources.files
+
+    def counting_files(package):
+        calls.append(package)
+        return files(package)
+
+    monkeypatch.setattr(ethiopic.resources, "files", counting_files)
+    words = ["ላም", "ወንበር", "ዓለምፀሐይ", "ጧት", "ቋንቋ"] * 20
+    for word in words:
+        encode(word)
+    index = build_index(Lexicon(words=frozenset(words)))
+    for word in words[:50]:
+        suggest(word, index)
+    assert len(calls) <= 1
+
+
+def test_defaults_follow_the_data_dir_override(monkeypatch, tmp_path):
+    monkeypatch.delenv("AMHARIC_METAPHONE_DATA", raising=False)
+    bundled = (default_tables(), default_mistrike_profile(),
+               default_glyph_pairs(), EncoderConfig())
+    (tmp_path / "script_tables.txt").write_text(
+        "[homophone-classes]\nሰ ሠ\n[vowel-carriers]\nአ\n", encoding="utf-8")
+    (tmp_path / "mistrike_profile.txt").write_text(
+        "[mistrike-pairs]\nጠ ተ\n", encoding="utf-8")
+    (tmp_path / "glyph_pairs.txt").write_text(
+        "[glyph-pairs]\nፕ ኝ initial\n", encoding="utf-8")
+    for _ in range(2):
+        monkeypatch.setenv("AMHARIC_METAPHONE_DATA", str(tmp_path))
+        tables = default_tables()
+        assert tables.representative == {"ሠ": "ሰ"}
+        assert tables.vowel_carriers == frozenset("አ")
+        assert default_mistrike_profile().pairs == (("ጠ", "ተ"),)
+        assert default_glyph_pairs() == (GlyphPair(a="ፕ", b="ኝ", anywhere=False),)
+        config = EncoderConfig()
+        assert config.profile.pairs == (("ጠ", "ተ"),)
+        assert config.glyph_pairs == (GlyphPair(a="ፕ", b="ኝ", anywhere=False),)
+        monkeypatch.delenv("AMHARIC_METAPHONE_DATA")
+        assert default_tables() is bundled[0]
+        assert (default_tables(), default_mistrike_profile(),
+                default_glyph_pairs(), EncoderConfig()) == bundled
 
 
 def _load(tmp_path, text):

@@ -163,6 +163,20 @@ def test_dump_is_deterministic(tmp_path):
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
 
+def test_failed_dump_keeps_the_previous_one(tmp_path):
+    path = tmp_path / "index.txt"
+    dump_index(build_index(make_lexicon("ወንበር", "ላም")), path)
+    before = path.read_bytes()
+    # A lone surrogate cannot be encoded, so the write fails part way.
+    broken = EncodingIndex(fingerprint="0123456789abcdef")
+    broken.add("ልም", "ላም", Tier.CANONICAL)
+    broken.add("\ud800", "ላም", Tier.CANONICAL)
+    with pytest.raises(UnicodeEncodeError):
+        dump_index(broken, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["index.txt"]
+
+
 def test_load_index_rejects_bad_files(tmp_path):
     bad_header = tmp_path / "h.txt"
     bad_header.write_text("ልም\tላም\t0\n", encoding="utf-8")
