@@ -16,7 +16,6 @@ from typing import Sequence
 
 from .encoder import EncoderConfig, encode, load_mistrike_profile
 from .errors import AmharicMetaphoneError
-from .ethiopic import default_tables
 from .evaluate import ERROR_TYPE_LABELS, evaluate, load_corpus
 from .lexicon import build_index, dump_index, load_lexicon, suggest
 
@@ -84,14 +83,13 @@ def _nfc(text: str) -> str:
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     config = _config(args)
-    tables = default_tables()
     words = (
         [t for t in _SEPARATORS.split(_nfc(sys.stdin.read())) if t]
         if args.stdin
         else [_nfc(w) for w in args.words]
     )
     for word in words:
-        if args.stdin and not tables.supported.issuperset(word):
+        if args.stdin and not config.tables.supported.issuperset(word):
             # Bulk text carries names, numbers, punctuation runs; pass
             # them through with a '-' tier flag instead of failing.
             if args.format == "jsonl":
@@ -100,7 +98,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
             else:
                 print(f"{word}\t-\t{word}")
             continue
-        encodings = encode(word, config, tables)
+        encodings = encode(word, config)
         if args.format == "jsonl":
             record = {
                 "word": word,

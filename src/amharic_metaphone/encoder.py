@@ -14,10 +14,12 @@ Lower tiers are more trustworthy matches. Keys contain only sixth-order
 (sadis) consonants, except a single leading አ marking a word-initial
 vowel.
 
-encode() takes the canonical key from the per-scalar maps compiled into
-the script tables (ScriptTables.initial_keys and later_keys), one
-translate per word. simplify() and remove_vowels() spell the two steps
-out character by character; they are the readable reference the
+An EncoderConfig decides a key set: it holds the script tables, the
+glyph pairs and the mistrike profile, and its fingerprint digests all
+of them. encode() takes the canonical key from the per-scalar maps
+compiled into its tables (ScriptTables.initial_keys and later_keys),
+one translate per word. simplify() and remove_vowels() spell the two
+steps out character by character; they are the readable reference the
 compiled maps are tested against.
 """
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from pathlib import Path
 from typing import Iterator
@@ -56,7 +58,6 @@ __all__ = [
     "glyph_alternates",
     "lcd_mistrike",
     "encode",
-    "config_fingerprint",
 ]
 
 _ALEF = "አ"  # አ
@@ -236,22 +237,71 @@ def default_glyph_pairs() -> tuple[GlyphPair, ...]:
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Knobs for encode().
+    """Everything that decides the key set of a word.
 
     wy_as_vowels treats non-initial ው and ይ as vowels and drops them
     from keys. profile=None disables input-method alternates entirely,
     the right call when the writer's keyboard layout is unknown.
     max_encodings caps the set size; the canonical key is never evicted.
+    tables build the canonical key. Defaults are read from the data
+    directory when the config is built and stay with it; tables compare
+    by identity.
     """
 
     wy_as_vowels: bool = False
     profile: MistrikeProfile | None = field(default_factory=default_mistrike_profile)
     glyph_pairs: tuple[GlyphPair, ...] = field(default_factory=default_glyph_pairs)
     max_encodings: int = 16
+    tables: ethiopic.ScriptTables = field(default_factory=ethiopic.default_tables)
 
     def __post_init__(self):
         if self.max_encodings < 1:
             raise ValueError("max_encodings must be at least 1")
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Stable digest of everything that shapes key sets.
+
+        Indexes store this so a query under a different config is
+        rejected instead of silently missing. It depends on the tables'
+        contents, not on which object holds them.
+        """
+        tables = self.tables
+        parts = [
+            f"wy={int(self.wy_as_vowels)}",
+            f"max={self.max_encodings}",
+            "profile=" + (
+                "none"
+                if self.profile is None
+                else ",".join(a + b for a, b in self.profile.pairs)
+            ),
+            "glyph=" + ",".join(
+                p.a + p.b + ("*" if p.anywhere else "^") for p in self.glyph_pairs
+            ),
+            "classes=" + ",".join(
+                m + h for m, h in sorted(tables.representative.items())
+            ),
+            "carriers=" + "".join(sorted(tables.vowel_carriers)),
+            "labiovelar=" + ",".join(
+                f"{ch}{base}{order}"
+                for ch, (base, order) in sorted(tables.labiovelar_map.items())
+            ),
+        ]
+        return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()[:16]
+
+
+@lru_cache(maxsize=None)
+def _config_in(directory: Path) -> EncoderConfig:
+    return EncoderConfig(
+        profile=_profile_in(directory),
+        glyph_pairs=_glyph_pairs_in(directory),
+        tables=ethiopic._tables_in(directory),
+    )
+
+
+def _default_config() -> EncoderConfig:
+    """EncoderConfig(), built once per data directory."""
+    return _config_in(ethiopic.data_dir())
 
 
 def simplify(word: str, tables: ethiopic.ScriptTables | None = None) -> str:
@@ -313,30 +363,29 @@ def remove_vowels(
     return "".join(out)
 
 
-def _swap_sites(key: str, sites: tuple[int, ...], table: dict[str, str]) -> str:
-    chars = list(key)
-    for i in sites:
-        chars[i] = table[chars[i]]
-    return "".join(chars)
+def _swaps(key: str, sites: list[tuple[int, str]]) -> Iterator[str]:
+    """The key with each non-empty combination of sites swapped.
 
-
-def _phonological_alternates(key: str) -> Iterator[str]:
-    sites = [
-        i
-        for i in range(len(key) - 1)
-        if key[i] in _NASAL_SWAP and key[i + 1] in _NASAL_TRIGGERS
-    ]
+    A site is (position, partner). Combinations come smallest first, in
+    site order within a size.
+    """
     for r in range(1, len(sites) + 1):
         for combo in combinations(sites, r):
-            yield _swap_sites(key, combo, _NASAL_SWAP)
+            chars = list(key)
+            for i, partner in combo:
+                chars[i] = partner
+            yield "".join(chars)
 
 
-def phonological_alternates(key: str) -> set[str]:
-    """Keys with ም/ን swapped before ብ or ፍ, at every site combination."""
-    return set(_phonological_alternates(key))
+def _nasal_sites(key: str) -> list[tuple[int, str]]:
+    return [
+        (i, _NASAL_SWAP[ch])
+        for i, ch in enumerate(key[:-1])
+        if ch in _NASAL_SWAP and key[i + 1] in _NASAL_TRIGGERS
+    ]
 
 
-def _glyph_alternates(key: str, pairs: tuple[GlyphPair, ...]) -> Iterator[str]:
+def _glyph_sites(key: str, pairs: tuple[GlyphPair, ...]) -> list[tuple[int, str]]:
     sites: list[tuple[int, str]] = []
     for i, ch in enumerate(key):
         for pair in pairs:
@@ -346,12 +395,12 @@ def _glyph_alternates(key: str, pairs: tuple[GlyphPair, ...]) -> Iterator[str]:
             if partner is not None:
                 sites.append((i, partner))
                 break
-    for r in range(1, len(sites) + 1):
-        for combo in combinations(sites, r):
-            chars = list(key)
-            for i, partner in combo:
-                chars[i] = partner
-            yield "".join(chars)
+    return sites
+
+
+def phonological_alternates(key: str) -> set[str]:
+    """Keys with ም/ን swapped before ብ or ፍ, at every site combination."""
+    return set(_swaps(key, _nasal_sites(key)))
 
 
 def glyph_alternates(
@@ -360,7 +409,7 @@ def glyph_alternates(
     """Keys with visually confusable characters swapped per the pair table."""
     if pairs is None:
         pairs = default_glyph_pairs()
-    return set(_glyph_alternates(key, pairs))
+    return set(_swaps(key, _glyph_sites(key, pairs)))
 
 
 def lcd_mistrike(key: str, profile: MistrikeProfile) -> str:
@@ -371,19 +420,13 @@ def lcd_mistrike(key: str, profile: MistrikeProfile) -> str:
     return key.translate(profile.key_table())
 
 
-def encode(
-    word: str,
-    config: EncoderConfig | None = None,
-    tables: ethiopic.ScriptTables | None = None,
-) -> EncodingSet:
+def encode(word: str, config: EncoderConfig | None = None) -> EncodingSet:
     """Encode a word into its prioritized key set."""
     if not word:
         raise EmptyWordError("cannot encode an empty word")
-    if config is None:
-        config = EncoderConfig()
-    tables = tables or ethiopic.default_tables()
+    config = config or _default_config()
 
-    canonical = _canonical(word, config.wy_as_vowels, tables)
+    canonical = _canonical(word, config.wy_as_vowels, config.tables)
     unique: dict[str, Encoding] = {}
     for key, tier in _staged(canonical, config):
         if key not in unique:
@@ -415,11 +458,11 @@ def _staged(canonical: str, config: EncoderConfig) -> Iterator[tuple[str, Tier]]
     """
     staged = [canonical]
     yield canonical, Tier.CANONICAL
-    for alt in _phonological_alternates(canonical):
+    for alt in _swaps(canonical, _nasal_sites(canonical)):
         staged.append(alt)
         yield alt, Tier.PHONOLOGICAL
     for key in staged[:]:
-        for alt in _glyph_alternates(key, config.glyph_pairs):
+        for alt in _swaps(key, _glyph_sites(key, config.glyph_pairs)):
             staged.append(alt)
             yield alt, Tier.GLYPH
     if config.profile is not None:
@@ -428,39 +471,3 @@ def _staged(canonical: str, config: EncoderConfig) -> Iterator[tuple[str, Tier]]
             if downgraded != key:
                 yield downgraded, Tier.INPUT_METHOD
 
-
-def config_fingerprint(
-    config: EncoderConfig, tables: ethiopic.ScriptTables | None = None
-) -> str:
-    """Stable digest of everything that shapes key sets.
-
-    Indexes store this so a query under a different config is rejected
-    instead of silently missing.
-    """
-    return _fingerprint(config, tables or ethiopic.default_tables())
-
-
-@lru_cache(maxsize=64)
-def _fingerprint(config: EncoderConfig, tables: ethiopic.ScriptTables) -> str:
-    # Keyed on the config's value and the tables' identity.
-    parts = [
-        f"wy={int(config.wy_as_vowels)}",
-        f"max={config.max_encodings}",
-        "profile=" + (
-            "none"
-            if config.profile is None
-            else ",".join(a + b for a, b in config.profile.pairs)
-        ),
-        "glyph=" + ",".join(
-            p.a + p.b + ("*" if p.anywhere else "^") for p in config.glyph_pairs
-        ),
-        "classes=" + ",".join(
-            m + h for m, h in sorted(tables.representative.items())
-        ),
-        "carriers=" + "".join(sorted(tables.vowel_carriers)),
-        "labiovelar=" + ",".join(
-            f"{ch}{base}{order}"
-            for ch, (base, order) in sorted(tables.labiovelar_map.items())
-        ),
-    ]
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()[:16]

@@ -41,7 +41,6 @@ __all__ = [
     "WA",
     "OA",
     "SERIES_ORDERS",
-    "PLAIN_ORDERS",
     "Labiovelar",
     "SyllableInfo",
     "ScriptTables",
@@ -56,7 +55,6 @@ __all__ = [
     "is_ethiopic",
 ]
 
-PLAIN_ORDERS = (1, 2, 3, 4, 5, 6, 7)
 SADIS = 6
 WA = 14
 OA = 18

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import ethiopic
-from .encoder import EncoderConfig, encode
+from .encoder import EncoderConfig, _default_config, encode
 from .errors import EmptyCorpusError, LoadError
 
 __all__ = [
@@ -151,21 +151,20 @@ def load_corpus(path: Path | str) -> list[CorpusEntry]:
         for word in (canonical, variant):
             if not word:
                 raise LoadError("empty word", path=path, line=lineno)
-            for ch in word:
-                if not ethiopic.is_ethiopic(ch, tables):
-                    raise LoadError(
-                        f"non-Ethiopic character {ch!r} in {word!r}",
-                        path=path,
-                        line=lineno,
-                    )
+            if not tables.supported.issuperset(word):
+                ch = next(ch for ch in word if ch not in tables.supported)
+                raise LoadError(
+                    f"non-Ethiopic character {ch!r} in {word!r}",
+                    path=path,
+                    line=lineno,
+                )
         entries.append(CorpusEntry(canonical, variant, error_type, expected_fail))
     return entries
 
 
 def matches(canonical: str, variant: str, config: EncoderConfig | None = None) -> bool:
     """True when the two spellings share at least one encoding key."""
-    if config is None:
-        config = EncoderConfig()
+    config = config or _default_config()
     return bool(encode(canonical, config).key_set() & encode(variant, config).key_set())
 
 
@@ -177,8 +176,7 @@ def evaluate(
     """Fold match results into per-type and overall statistics."""
     if not corpus:
         raise EmptyCorpusError("corpus has no entries")
-    if config is None:
-        config = EncoderConfig()
+    config = config or _default_config()
     totals: dict[int, int] = {}
     matched: dict[int, int] = {}
     xfail_total = 0

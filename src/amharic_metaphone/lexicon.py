@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import ethiopic
-from .encoder import EncoderConfig, Tier, config_fingerprint, encode
+from .encoder import EncoderConfig, Tier, _default_config, encode
 from .errors import ConfigMismatchError, InvalidInputError, LoadError
 
 __all__ = [
@@ -133,22 +133,21 @@ def load_lexicon(path: Path | str) -> Lexicon:
         if not line:
             continue
         word = unicodedata.normalize("NFC", line)
-        for ch in word:
-            if not ethiopic.is_ethiopic(ch, tables):
-                raise LoadError(
-                    f"non-Ethiopic character {ch!r} in word {word!r}",
-                    path=path,
-                    line=lineno,
-                )
+        if not tables.supported.issuperset(word):
+            ch = next(ch for ch in word if ch not in tables.supported)
+            raise LoadError(
+                f"non-Ethiopic character {ch!r} in word {word!r}",
+                path=path,
+                line=lineno,
+            )
         words.add(word)
     return Lexicon(words=frozenset(words))
 
 
 def build_index(lexicon: Lexicon, config: EncoderConfig | None = None) -> EncodingIndex:
     """Index every lexicon word under all keys it encodes to."""
-    if config is None:
-        config = EncoderConfig()
-    index = EncodingIndex(fingerprint=config_fingerprint(config))
+    config = config or _default_config()
+    index = EncodingIndex(fingerprint=config.fingerprint)
     for word in sorted(lexicon.words):
         try:
             encodings = encode(word, config)
@@ -173,9 +172,8 @@ def suggest(
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    if config is None:
-        config = EncoderConfig()
-    if index.fingerprint and index.fingerprint != config_fingerprint(config):
+    config = config or _default_config()
+    if index.fingerprint and index.fingerprint != config.fingerprint:
         raise ConfigMismatchError(
             "index was built under a different encoder config; rebuild it"
         )

@@ -19,7 +19,6 @@ from amharic_metaphone.encoder import (
     GlyphPair,
     MistrikeProfile,
     Tier,
-    config_fingerprint,
     default_glyph_pairs,
     default_mistrike_profile,
     encode,
@@ -32,6 +31,7 @@ from amharic_metaphone.encoder import (
     simplify,
 )
 from amharic_metaphone.errors import (
+    ConfigMismatchError,
     EmptyWordError,
     InvalidInputError,
     LoadError,
@@ -41,6 +41,14 @@ from amharic_metaphone.ethiopic import (
     decompose,
     default_tables,
     load_script_tables,
+)
+from amharic_metaphone.evaluate import matches
+from amharic_metaphone.lexicon import (
+    Lexicon,
+    build_index,
+    dump_index,
+    load_index,
+    suggest,
 )
 
 NO_PROFILE = EncoderConfig(profile=None)
@@ -262,30 +270,44 @@ def test_config_validates_max_encodings():
         EncoderConfig(max_encodings=0)
 
 
-def test_fingerprint_memo_keeps_table_sets_apart(monkeypatch, tmp_path):
+def test_config_keeps_its_tables_when_the_data_dir_changes(monkeypatch, tmp_path):
     monkeypatch.delenv("AMHARIC_METAPHONE_DATA", raising=False)
     config = EncoderConfig()
-    bundled = config_fingerprint(config)
+    tables, bundled = config.tables, config.fingerprint
     path = tmp_path / "script_tables.txt"
     path.write_text("[vowel-carriers]\nአ\n", encoding="utf-8")
     monkeypatch.setenv("AMHARIC_METAPHONE_DATA", str(tmp_path))
-    override = config_fingerprint(config)
-    assert override != bundled
-    assert config_fingerprint(config, default_tables()) == override
-    monkeypatch.delenv("AMHARIC_METAPHONE_DATA")
-    assert config_fingerprint(config) == bundled
+    assert config.tables is tables
+    assert config.fingerprint == bundled
+    assert encode("ዓለም", config).canonical == "አልም"
+    parts = {"profile": config.profile, "glyph_pairs": config.glyph_pairs}
+    override = EncoderConfig(**parts)
+    assert override.tables is default_tables()
+    assert override.fingerprint != bundled
+    assert encode("ዓለም", override).canonical == "ዕልም"
     # The digest depends on the tables' contents, not on which object
-    # holds them.
-    assert config_fingerprint(config, load_script_tables(path)) == override
+    # holds them; the configs themselves compare tables by identity.
+    reloaded = EncoderConfig(**parts, tables=load_script_tables(path))
+    assert reloaded.fingerprint == override.fingerprint
+    assert reloaded != override
+    monkeypatch.delenv("AMHARIC_METAPHONE_DATA")
+    assert EncoderConfig() == config
+    assert EncoderConfig().fingerprint == bundled
 
 
 def test_config_fingerprint_tracks_settings():
-    base = config_fingerprint(EncoderConfig())
-    assert base == config_fingerprint(EncoderConfig())
-    assert base != config_fingerprint(WY)
-    assert base != config_fingerprint(NO_PROFILE)
-    assert base != config_fingerprint(EncoderConfig(glyph_pairs=()))
+    base = EncoderConfig().fingerprint
+    assert base == EncoderConfig().fingerprint
+    assert base != WY.fingerprint
+    assert base != NO_PROFILE.fingerprint
+    assert base != EncoderConfig(glyph_pairs=()).fingerprint
     assert len(base) == 16
+
+
+def test_bundled_fingerprints_are_pinned():
+    # Index dumps store these digests: a change here orphans every dump.
+    assert EncoderConfig().fingerprint == "c3b6d1e3774e103d"
+    assert EncoderConfig(wy_as_vowels=True).fingerprint == "0cb3cc46431bf323"
 
 
 # --- rule file loading ------------------------------------------------------
@@ -485,8 +507,8 @@ def oracle_tables(request, tmp_path_factory):
 
 def _canonical_pair(word, wy, tables):
     config = EncoderConfig(wy_as_vowels=wy, profile=None, glyph_pairs=(),
-                           max_encodings=1)
-    return (encode(word, config, tables).canonical,
+                           max_encodings=1, tables=tables)
+    return (encode(word, config).canonical,
             remove_vowels(simplify(word, tables), config, tables))
 
 
@@ -517,8 +539,29 @@ def test_compiled_key_reports_bad_scalars_like_the_oracle(oracle_tables, data):
     pos = data.draw(st.integers(0, len(word)))
     word = word[:pos] + bad + word[pos:]
     with pytest.raises(InvalidInputError) as compiled:
-        encode(word, NO_PROFILE, oracle_tables)
+        encode(word, EncoderConfig(profile=None, tables=oracle_tables))
     with pytest.raises(InvalidInputError) as oracle:
         simplify(word, oracle_tables)
     for exc in (compiled.value, oracle.value):
         assert (exc.char, exc.position, exc.word) == (bad, pos, word)
+
+
+def test_custom_tables_reach_index_suggest_and_matches(tmp_path):
+    path = tmp_path / "script_tables.txt"
+    path.write_text(_ORACLE_TABLES["alef-as-consonant"], encoding="utf-8")
+    config = EncoderConfig(tables=load_script_tables(path))
+    lexicon = Lexicon(words=frozenset({"አለም", "ሰላም"}))
+    # With አ merged into the ሀ class, ሐለም and አለም share the key ህልም;
+    # the bundled tables keep አ as a word-initial vowel (አልም).
+    assert [s.word for s in suggest("ሐለም", build_index(lexicon))] == []
+    assert matches("አለም", "ሐለም", config)
+    assert not matches("አለም", "ሐለም")
+    dump = tmp_path / "index.txt"
+    dump_index(build_index(lexicon, config), dump)
+    index = load_index(dump)
+    assert index.fingerprint == config.fingerprint
+    assert [(s.word, s.match_tier, s.distance)
+            for s in suggest("ሐለም", index, config)] == [("አለም", Tier.CANONICAL, 1)]
+    for bundled in (None, EncoderConfig()):
+        with pytest.raises(ConfigMismatchError):
+            suggest("ሐለም", index, bundled)

@@ -251,7 +251,7 @@ def test_bundled_data_is_resolved_once(monkeypatch):
     monkeypatch.delenv("AMHARIC_METAPHONE_DATA", raising=False)
     for cached in (ethiopic._resolve_data_dir, ethiopic._tables_in,
                    encoder._profile_in, encoder._glyph_pairs_in,
-                   encoder._fingerprint):
+                   encoder._config_in):
         cached.cache_clear()
     calls = []
     files = ethiopic.resources.files

@@ -67,6 +67,8 @@ def test_load_corpus_rejects_malformed_rows(tmp_path, row):
     with pytest.raises(LoadError) as exc:
         load_corpus(path)
     assert exc.value.line == 1
+    if row == "ጠዋት\thello\t6":
+        assert str(exc.value) == f"{path}:1: non-Ethiopic character 'h' in 'hello'"
 
 
 def test_load_corpus_missing_file(tmp_path):

@@ -59,6 +59,13 @@ def test_load_lexicon_reports_bad_line(tmp_path):
     with pytest.raises(LoadError) as exc:
         load_lexicon(path)
     assert exc.value.line == 2
+    assert str(exc.value) == f"{path}:2: non-Ethiopic character 'b' in word 'bad'"
+    path = write_lexicon(tmp_path, "ላም\n\nላም፡ቤት\n")
+    with pytest.raises(LoadError) as exc:
+        load_lexicon(path)
+    assert str(exc.value) == (
+        f"{path}:3: non-Ethiopic character '፡' in word 'ላም፡ቤት'"
+    )
 
 
 def test_load_lexicon_missing_file(tmp_path):
