@@ -17,11 +17,9 @@ from .encoder import (
     default_glyph_pairs,
     default_mistrike_profile,
     encode,
-    glyph_alternates,
     lcd_mistrike,
     load_glyph_pairs,
     load_mistrike_profile,
-    phonological_alternates,
     remove_vowels,
     simplify,
 )
@@ -33,20 +31,13 @@ from .errors import (
     InvalidInputError,
     InvalidOrderError,
     LoadError,
-    NotEthiopicError,
 )
 from .ethiopic import (
-    Labiovelar,
     ScriptTables,
-    SyllableInfo,
-    classify_labiovelar,
     compose,
     decompose,
     default_tables,
-    is_ethiopic,
-    is_vowel_carrier,
     load_script_tables,
-    to_sadis,
 )
 from .evaluate import (
     ERROR_TYPE_LABELS,
@@ -86,19 +77,15 @@ __all__ = [
     "GlyphPair",
     "InvalidInputError",
     "InvalidOrderError",
-    "Labiovelar",
     "Lexicon",
     "LoadError",
     "MistrikeProfile",
-    "NotEthiopicError",
     "ScriptTables",
     "Suggestion",
-    "SyllableInfo",
     "Tier",
     "TypeStats",
     "__version__",
     "build_index",
-    "classify_labiovelar",
     "compose",
     "decompose",
     "default_glyph_pairs",
@@ -108,9 +95,6 @@ __all__ = [
     "dump_index",
     "encode",
     "evaluate",
-    "glyph_alternates",
-    "is_ethiopic",
-    "is_vowel_carrier",
     "lcd_mistrike",
     "load_corpus",
     "load_glyph_pairs",
@@ -119,9 +103,7 @@ __all__ = [
     "load_mistrike_profile",
     "load_script_tables",
     "matches",
-    "phonological_alternates",
     "remove_vowels",
     "simplify",
     "suggest",
-    "to_sadis",
 ]

@@ -1,7 +1,7 @@
 """Command-line front end: encode, suggest, index, and evaluate.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
-malformed files, words the encoder rejects).
+malformed files, undecodable input, words the encoder rejects).
 """
 
 from __future__ import annotations
@@ -273,7 +273,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 1
     try:
         return args.func(args)
-    except (AmharicMetaphoneError, OSError) as exc:
+    except (AmharicMetaphoneError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -54,8 +54,6 @@ __all__ = [
     "default_glyph_pairs",
     "simplify",
     "remove_vowels",
-    "phonological_alternates",
-    "glyph_alternates",
     "lcd_mistrike",
     "encode",
 ]
@@ -215,24 +213,14 @@ def load_glyph_pairs(
     return tuple(pairs)
 
 
-@lru_cache(maxsize=None)
-def _profile_in(directory: Path) -> MistrikeProfile:
-    return load_mistrike_profile(directory / "mistrike_profile.txt")
-
-
-@lru_cache(maxsize=None)
-def _glyph_pairs_in(directory: Path) -> tuple[GlyphPair, ...]:
-    return load_glyph_pairs(directory / "glyph_pairs.txt")
-
-
 def default_mistrike_profile() -> MistrikeProfile:
     """The bundled phonetic-keyboard profile, read once per data directory."""
-    return _profile_in(ethiopic.data_dir())
+    return _default_config().profile
 
 
 def default_glyph_pairs() -> tuple[GlyphPair, ...]:
     """The bundled glyph-confusion table, read once per data directory."""
-    return _glyph_pairs_in(ethiopic.data_dir())
+    return _default_config().glyph_pairs
 
 
 @dataclass(frozen=True)
@@ -292,10 +280,13 @@ class EncoderConfig:
 
 @lru_cache(maxsize=None)
 def _config_in(directory: Path) -> EncoderConfig:
+    """The directory's tables, then its profile and glyph pairs checked
+    against those tables."""
+    tables = ethiopic._tables_in(directory)
     return EncoderConfig(
-        profile=_profile_in(directory),
-        glyph_pairs=_glyph_pairs_in(directory),
-        tables=ethiopic._tables_in(directory),
+        profile=load_mistrike_profile(directory / "mistrike_profile.txt", tables),
+        glyph_pairs=load_glyph_pairs(directory / "glyph_pairs.txt", tables),
+        tables=tables,
     )
 
 
@@ -396,20 +387,6 @@ def _glyph_sites(key: str, pairs: tuple[GlyphPair, ...]) -> list[tuple[int, str]
                 sites.append((i, partner))
                 break
     return sites
-
-
-def phonological_alternates(key: str) -> set[str]:
-    """Keys with ም/ን swapped before ብ or ፍ, at every site combination."""
-    return set(_swaps(key, _nasal_sites(key)))
-
-
-def glyph_alternates(
-    key: str, pairs: tuple[GlyphPair, ...] | None = None
-) -> set[str]:
-    """Keys with visually confusable characters swapped per the pair table."""
-    if pairs is None:
-        pairs = default_glyph_pairs()
-    return set(_swaps(key, _glyph_sites(key, pairs)))
 
 
 def lcd_mistrike(key: str, profile: MistrikeProfile) -> str:

@@ -7,10 +7,6 @@ class AmharicMetaphoneError(Exception):
     """Base class for all package errors."""
 
 
-class NotEthiopicError(AmharicMetaphoneError, ValueError):
-    """An operation that requires an Ethiopic syllable got something else."""
-
-
 class InvalidOrderError(AmharicMetaphoneError, ValueError):
     """No syllable exists for the requested (family, order) slot."""
 

@@ -28,20 +28,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .errors import InvalidOrderError, LoadError, NotEthiopicError
+from .errors import InvalidOrderError, LoadError
 
 __all__ = [
     "SADIS",
     "WA",
     "OA",
     "SERIES_ORDERS",
-    "Labiovelar",
     "SyllableInfo",
     "ScriptTables",
     "load_script_tables",
@@ -49,10 +47,6 @@ __all__ = [
     "data_dir",
     "decompose",
     "compose",
-    "to_sadis",
-    "classify_labiovelar",
-    "is_vowel_carrier",
-    "is_ethiopic",
 ]
 
 SADIS = 6
@@ -113,13 +107,6 @@ _ENV_DATA_DIR = "AMHARIC_METAPHONE_DATA"
 
 _ALEF = "አ"
 _WAW = "ው"
-
-
-class Labiovelar(Enum):
-    """How a syllable participates in labiovelar handling."""
-
-    FOURTH_ORDER_WA = "fourth-order-wa"
-    OTHER = "other"
 
 
 @dataclass(frozen=True)
@@ -349,41 +336,3 @@ def compose(family: str, order: int, tables: ScriptTables | None = None) -> str:
     if ch is None:
         raise InvalidOrderError(f"family {family!r} has no member at order {order}")
     return ch
-
-
-def to_sadis(ch: str, tables: ScriptTables | None = None) -> str:
-    """Map a syllable to the vowel-less (sixth-order) member of its family."""
-    info = decompose(ch, tables)
-    if info is None:
-        raise NotEthiopicError(f"{ch!r} is not a supported Ethiopic syllable")
-    return compose(info.family, SADIS, tables)
-
-
-def classify_labiovelar(
-    ch: str, tables: ScriptTables | None = None
-) -> Labiovelar | None:
-    """Labiovelar role of a syllable: ʷa, other ʷ-vowel, or None."""
-    info = decompose(ch, tables)
-    if info is None:
-        raise NotEthiopicError(f"{ch!r} is not a supported Ethiopic syllable")
-    if info.order == WA:
-        return Labiovelar.FOURTH_ORDER_WA
-    if info.order in (11, 13, 15, 16):
-        return Labiovelar.OTHER
-    return None
-
-
-def is_vowel_carrier(ch: str, tables: ScriptTables | None = None) -> bool:
-    """True for members of the pure-vowel families (አ and ዐ by default)."""
-    tables = tables or default_tables()
-    info = decompose(ch, tables)
-    if info is None:
-        raise NotEthiopicError(f"{ch!r} is not a supported Ethiopic syllable")
-    return info.family in tables.vowel_carriers
-
-
-def is_ethiopic(ch: str, tables: ScriptTables | None = None) -> bool:
-    """True if the character is a supported Ethiopic syllable."""
-    if len(ch) != 1:
-        raise ValueError(f"expected a single character, got {ch!r}")
-    return ch in (tables or default_tables()).supported

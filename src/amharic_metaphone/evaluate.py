@@ -98,24 +98,6 @@ class EvalReport:
             )
         return "\n".join(lines)
 
-    def as_kv_lines(self) -> list[str]:
-        lines = [
-            f"config.wy_as_vowels={str(self.wy_as_vowels).lower()}",
-            f"config.mistrike_profile={str(self.profile_enabled).lower()}",
-        ]
-        for error_type in sorted(self.per_type):
-            stats = self.per_type[error_type]
-            prefix = f"type.{error_type}"
-            lines.append(f"{prefix}.total={stats.total}")
-            lines.append(f"{prefix}.matched={stats.matched}")
-            lines.append(f"{prefix}.rate={stats.rate:.4f}")
-        lines.append(f"overall.total={self.overall.total}")
-        lines.append(f"overall.matched={self.overall.matched}")
-        lines.append(f"overall.rate={self.overall.rate:.4f}")
-        lines.append(f"expected_fail.total={self.expected_fail.total}")
-        lines.append(f"expected_fail.matched={self.expected_fail.matched}")
-        return lines
-
 
 def load_corpus(path: Path | str) -> list[CorpusEntry]:
     """Read corpus rows: canonical TAB variant TAB type [TAB expected_fail]."""

@@ -197,7 +197,8 @@ def dump_index(index: EncodingIndex, path: Path | str) -> None:
 
     The lines go to a new file beside the target, which then replaces
     the target in one step: a write that fails leaves any previous dump
-    as it was and removes its own partial file.
+    as it was and removes its own partial file. An OSError names the
+    target path.
     """
     path = Path(path)
     lines = [_INDEX_MAGIC, f"# fingerprint {index.fingerprint}"]
@@ -210,8 +211,11 @@ def dump_index(index: EncodingIndex, path: Path | str) -> None:
         with open(partial, "x", encoding="utf-8") as f:
             f.write("\n".join(lines) + "\n")
         os.replace(partial, path)
-    except BaseException:
+    except BaseException as exc:
         partial.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            # Name the target, not the partial file beside it.
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

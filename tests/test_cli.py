@@ -5,8 +5,10 @@ codes can be asserted exactly; one subprocess test covers the
 `python -m` wiring.
 """
 
+import errno
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -225,6 +227,20 @@ def test_index_fingerprint_tracks_config(capsys, tmp_path):
     assert fp(a) != fp(b)
 
 
+def test_index_write_errors_name_the_target(capsys, tmp_path):
+    missing = tmp_path / "missing_dir" / "x.txt"
+    directory = tmp_path / "some_dir"
+    directory.mkdir()
+    for target, code in ((missing, errno.ENOENT), (directory, errno.EISDIR)):
+        rc, out, err = run(capsys, "index", "--lexicon", LEXICON, "--out", str(target))
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: [Errno {code}] {os.strerror(code)}: {str(target)!r}\n"
+    # no partial file is left beside either target
+    assert [p.name for p in tmp_path.iterdir()] == ["some_dir"]
+    assert list(directory.iterdir()) == []
+
+
 # --- evaluate ---------------------------------------------------------------
 
 def test_evaluate_text_report(capsys):
@@ -298,3 +314,18 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "ላም\t0\tልም\n"
+
+
+def test_undecodable_stdin_is_a_data_error():
+    result = subprocess.run(
+        [sys.executable, "-m", "amharic_metaphone.cli", "encode", "--stdin"],
+        input=b"\xff " + "ላም\n".encode("utf-8"),
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+    )
+    err = result.stderr.decode("utf-8")
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")

@@ -22,11 +22,9 @@ from amharic_metaphone.encoder import (
     default_glyph_pairs,
     default_mistrike_profile,
     encode,
-    glyph_alternates,
     lcd_mistrike,
     load_glyph_pairs,
     load_mistrike_profile,
-    phonological_alternates,
     remove_vowels,
     simplify,
 )
@@ -57,6 +55,16 @@ WY = EncoderConfig(wy_as_vowels=True)
 
 def keys_with_tiers(word, config=None):
     return [(e.key, int(e.tier)) for e in encode(word, config)]
+
+
+def alternates(key, tier, glyph_pairs=None):
+    """The keys of one alternate tier that encode() stages for a key."""
+    if glyph_pairs is None:
+        glyph_pairs = default_glyph_pairs()
+    config = EncoderConfig(profile=None, glyph_pairs=glyph_pairs, max_encodings=64)
+    encodings = encode(key, config)
+    assert encodings.canonical == key
+    return {e.key for e in encodings if e.tier == tier}
 
 
 # --- step 1: homophone merge ------------------------------------------------
@@ -139,36 +147,36 @@ def test_encode_requires_a_word():
 # --- step 3: nasal alternates -----------------------------------------------
 
 def test_phonological_alternates_swap_sites():
-    assert phonological_alternates("ውምብር") == {"ውንብር"}
-    assert phonological_alternates("ውንብር") == {"ውምብር"}
-    assert phonological_alternates("ግምፍ") == {"ግንፍ"}
+    assert alternates("ውምብር", Tier.PHONOLOGICAL) == {"ውንብር"}
+    assert alternates("ውንብር", Tier.PHONOLOGICAL) == {"ውምብር"}
+    assert alternates("ግምፍ", Tier.PHONOLOGICAL) == {"ግንፍ"}
     # two sites produce every non-empty site combination
-    assert phonological_alternates("ምብንፍ") == {"ንብንፍ", "ምብምፍ", "ንብምፍ"}
+    assert alternates("ምብንፍ", Tier.PHONOLOGICAL) == {"ንብንፍ", "ምብምፍ", "ንብምፍ"}
 
 
 def test_phonological_alternates_need_a_following_b_or_f():
-    assert phonological_alternates("ምስ") == set()
-    assert phonological_alternates("ንት") == set()
-    assert phonological_alternates("ብም") == set()  # nasal last, no site
-    assert phonological_alternates("ልም") == set()
+    assert alternates("ምስ", Tier.PHONOLOGICAL) == set()
+    assert alternates("ንት", Tier.PHONOLOGICAL) == set()
+    assert alternates("ብም", Tier.PHONOLOGICAL) == set()  # nasal last, no site
+    assert alternates("ልም", Tier.PHONOLOGICAL) == set()
 
 
 # --- step 4: glyph alternates -----------------------------------------------
 
 def test_glyph_alternates_default_pair():
-    assert glyph_alternates("ፕርዝድንት", default_glyph_pairs()) == {"ኝርዝድንት"}
-    assert glyph_alternates("ስፕ", default_glyph_pairs()) == {"ስኝ"}
-    assert glyph_alternates("ልም", default_glyph_pairs()) == set()
+    assert alternates("ፕርዝድንት", Tier.GLYPH) == {"ኝርዝድንት"}
+    assert alternates("ስፕ", Tier.GLYPH) == {"ስኝ"}
+    assert alternates("ልም", Tier.GLYPH) == set()
 
 
 def test_glyph_alternates_cover_site_combinations():
-    assert glyph_alternates("ፕኝ", default_glyph_pairs()) == {"ኝኝ", "ፕፕ", "ኝፕ"}
+    assert alternates("ፕኝ", Tier.GLYPH) == {"ኝኝ", "ፕፕ", "ኝፕ"}
 
 
 def test_glyph_pair_initial_flag_restricts_position():
     initial_only = (GlyphPair(a="ፕ", b="ኝ", anywhere=False),)
-    assert glyph_alternates("ፕርፕ", initial_only) == {"ኝርፕ"}
-    assert glyph_alternates("ርፕ", initial_only) == set()
+    assert alternates("ፕርፕ", Tier.GLYPH, initial_only) == {"ኝርፕ"}
+    assert alternates("ርፕ", Tier.GLYPH, initial_only) == set()
 
 
 # --- step 5: shift-slip downgrade -------------------------------------------

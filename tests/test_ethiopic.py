@@ -20,26 +20,16 @@ from amharic_metaphone.encoder import (
     load_glyph_pairs,
     load_mistrike_profile,
 )
-from amharic_metaphone.errors import (
-    InvalidOrderError,
-    LoadError,
-    NotEthiopicError,
-)
+from amharic_metaphone.errors import InvalidOrderError, LoadError
 from amharic_metaphone.ethiopic import (
     OA,
     SADIS,
-    SERIES_ORDERS,
     WA,
-    Labiovelar,
-    classify_labiovelar,
     compose,
     data_dir,
     decompose,
     default_tables,
-    is_ethiopic,
-    is_vowel_carrier,
     load_script_tables,
-    to_sadis,
 )
 from amharic_metaphone.evaluate import load_corpus
 from amharic_metaphone.lexicon import (
@@ -92,14 +82,17 @@ def test_supported_set_is_exactly_the_assigned_syllable_block():
 
 
 def test_rya_mya_fya_and_non_syllables_are_unsupported():
+    supported = default_tables().supported
     for ch in "ፘፙፚ":  # RYA, MYA, FYA
         assert decompose(ch) is None
+        assert ch not in supported
     for ch in "፡።፩፼፟":  # punctuation, digits, marks
         assert decompose(ch) is None
-    for ch in "a!7 ":
+        assert ch not in supported
+    for ch in "a!7 x":
         assert decompose(ch) is None
-    assert not is_ethiopic("x")
-    assert is_ethiopic("ቋ")
+        assert ch not in supported
+    assert "ቋ" in supported
 
 
 def test_decompose_compose_round_trip_everywhere():
@@ -168,64 +161,37 @@ def test_compose_rejects_empty_slots():
 
 
 def test_to_sadis_known_points():
-    assert to_sadis("ለ") == "ል"
-    assert to_sadis("ል") == "ል"
-    assert to_sadis("ቋ") == "ቅ"
-    assert to_sadis("ቈ") == "ቅ"
-    assert to_sadis("ዀ") == "ኽ"
-    assert to_sadis("ኧ") == "እ"
-    assert to_sadis("ጟ") == "ጝ"
+    # (character, its key alone, its key after ለ)
+    cases = [
+        ("ለ", "ል", "ልል"),
+        ("ል", "ል", "ልል"),
+        ("ቋ", "ቅው", "ልቅው"),  # ʷa keeps its w
+        ("ቈ", "ቅ", "ልቅ"),  # the other ʷ-vowels do not
+        ("ዀ", "ኽ", "ልኽ"),
+        ("ኧ", "አ", "ል"),  # a vowel carrier, even in its ʷa column
+        ("ጟ", "ጝው", "ልጝው"),
+    ]
+    for ch, alone, after_l in cases:
+        assert encode(ch).canonical == alone
+        assert encode("ለ" + ch).canonical == after_l
 
 
 def test_to_sadis_is_total_and_idempotent_over_supported_chars():
     tables = default_tables()
     for ch in tables.by_char:
-        s = to_sadis(ch)
-        info = decompose(s)
-        assert info.order == SADIS
-        assert to_sadis(s) == s
-
-
-def test_to_sadis_rejects_unsupported():
-    with pytest.raises(NotEthiopicError):
-        to_sadis("x")
-    with pytest.raises(NotEthiopicError):
-        to_sadis("፡")
-
-
-def test_classify_labiovelar():
-    assert classify_labiovelar("ቋ") is Labiovelar.FOURTH_ORDER_WA
-    assert classify_labiovelar("ጧ") is Labiovelar.FOURTH_ORDER_WA
-    assert classify_labiovelar("ኧ") is Labiovelar.FOURTH_ORDER_WA
-    assert classify_labiovelar("ቈ") is Labiovelar.OTHER
-    assert classify_labiovelar("ቊ") is Labiovelar.OTHER
-    assert classify_labiovelar("ቍ") is Labiovelar.OTHER
-    assert classify_labiovelar("ለ") is None
-    assert classify_labiovelar("ል") is None
-    assert classify_labiovelar("ሇ") is None  # -oa is rounded, not ʷ-series
-    with pytest.raises(NotEthiopicError):
-        classify_labiovelar("q")
-
-
-def test_series_orders_partition_matches_classifier():
-    tables = default_tables()
-    for ch, (_, order) in tables.by_char.items():
-        role = classify_labiovelar(ch)
-        if order == WA:
-            assert role is Labiovelar.FOURTH_ORDER_WA
-        elif order in SERIES_ORDERS:
-            assert role is Labiovelar.OTHER
-        else:
-            assert role is None
+        key = encode(ch).canonical
+        assert key == "አ" or all(decompose(k).order == SADIS for k in key)
+        assert encode(key).canonical == key
 
 
 def test_vowel_carriers():
+    # A carrier opens a key as አ and leaves no trace after a consonant.
     for ch in "አኡኢዓዔዕዖኧ":
-        assert is_vowel_carrier(ch)
-    for ch in "ለሀቀመጠ":
-        assert not is_vowel_carrier(ch)
-    with pytest.raises(NotEthiopicError):
-        is_vowel_carrier("x")
+        assert encode(ch).canonical == "አ"
+        assert encode("ለ" + ch).canonical == "ል"
+    for ch, key in zip("ለሀቀመጠ", "ልህቅምጥ"):
+        assert encode(ch).canonical == key
+        assert encode("ለ" + ch).canonical == "ል" + key
 
 
 def test_homophone_representatives():
@@ -250,7 +216,6 @@ def test_data_dir_env_override(monkeypatch, tmp_path):
 def test_bundled_data_is_resolved_once(monkeypatch):
     monkeypatch.delenv("AMHARIC_METAPHONE_DATA", raising=False)
     for cached in (ethiopic._resolve_data_dir, ethiopic._tables_in,
-                   encoder._profile_in, encoder._glyph_pairs_in,
                    encoder._config_in):
         cached.cache_clear()
     calls = []

@@ -203,14 +203,14 @@ def test_report_text_omits_empty_xfail_row():
     assert "xfail" not in report.as_text()
 
 
-def test_report_kv_lines(bundled):
-    kv = dict(line.split("=", 1) for line in evaluate(bundled, WY).as_kv_lines())
-    assert kv["config.wy_as_vowels"] == "true"
-    assert kv["config.mistrike_profile"] == "true"
-    assert kv["type.7.total"] == "5"
-    assert kv["overall.matched"] == "122"
-    assert kv["overall.rate"] == "0.9457"
-    assert kv["expected_fail.total"] == "2"
+def test_report_fields(bundled):
+    report = evaluate(bundled, WY)
+    assert report.wy_as_vowels is True
+    assert report.profile_enabled is True
+    assert report.per_type[7].total == 5
+    assert report.overall.matched == 122
+    assert f"{report.overall.rate:.4f}" == "0.9457"
+    assert report.expected_fail.total == 2
 
 
 def test_type_labels_cover_all_nine():
