@@ -116,7 +116,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 def _cmd_suggest(args: argparse.Namespace) -> int:
     config = _config(args)
-    lexicon = load_lexicon(args.lexicon)
+    lexicon = load_lexicon(args.lexicon, config.tables)
     index = build_index(lexicon, config)
     query = _nfc(args.word)
     results = suggest(query, index, config, limit=args.limit)
@@ -137,7 +137,7 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
 
 def _cmd_index(args: argparse.Namespace) -> int:
     config = _config(args)
-    lexicon = load_lexicon(args.lexicon)
+    lexicon = load_lexicon(args.lexicon, config.tables)
     index = build_index(lexicon, config)
     dump_index(index, args.out)
     print(
@@ -149,10 +149,10 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config(args)
-    corpus = load_corpus(args.corpus)
+    corpus = load_corpus(args.corpus, config.tables)
     lexicon_words = None
     if args.lexicon is not None:
-        lexicon_words = load_lexicon(args.lexicon).words
+        lexicon_words = load_lexicon(args.lexicon, config.tables).words
     report = evaluate(corpus, config, lexicon_words=lexicon_words)
     if args.format == "jsonl":
         record = {

@@ -21,6 +21,11 @@ compiled into its tables (ScriptTables.initial_keys and later_keys),
 one translate per word. simplify() and remove_vowels() spell the two
 steps out character by character; they are the readable reference the
 compiled maps are tested against.
+
+Glyph sites come from two partner maps a config builds once from its
+glyph pairs, one for the first key position and one for the rest.
+encode(), suggest() and matches() read one capped walk over the staged
+keys; matches() stops it at the first key the two words share.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from enum import IntEnum
 from functools import cached_property, lru_cache
 from itertools import combinations
 from pathlib import Path
-from typing import Iterator
+from typing import Container, Iterator
 
 from . import ethiopic
 from .errors import (
@@ -247,6 +252,22 @@ class EncoderConfig:
             raise ValueError("max_encodings must be at least 1")
 
     @cached_property
+    def _glyph_partners(self) -> tuple[dict[str, str], dict[str, str]]:
+        """Key character -> glyph partner at position 0, and after it.
+
+        Where a character is in more than one pair, the first pair that
+        applies at the position wins.
+        """
+        initial: dict[str, str] = {}
+        later: dict[str, str] = {}
+        for pair in self.glyph_pairs:
+            for ch, partner in ((pair.a, pair.b), (pair.b, pair.a)):
+                initial.setdefault(ch, partner)
+                if pair.anywhere:
+                    later.setdefault(ch, partner)
+        return initial, later
+
+    @cached_property
     def fingerprint(self) -> str:
         """Stable digest of everything that shapes key sets.
 
@@ -369,6 +390,8 @@ def _swaps(key: str, sites: list[tuple[int, str]]) -> Iterator[str]:
 
 
 def _nasal_sites(key: str) -> list[tuple[int, str]]:
+    if _NASAL_SWAP.keys().isdisjoint(key):
+        return []
     return [
         (i, _NASAL_SWAP[ch])
         for i, ch in enumerate(key[:-1])
@@ -376,16 +399,15 @@ def _nasal_sites(key: str) -> list[tuple[int, str]]:
     ]
 
 
-def _glyph_sites(key: str, pairs: tuple[GlyphPair, ...]) -> list[tuple[int, str]]:
-    sites: list[tuple[int, str]] = []
-    for i, ch in enumerate(key):
-        for pair in pairs:
-            if not pair.anywhere and i != 0:
-                continue
-            partner = pair.partner(ch)
-            if partner is not None:
-                sites.append((i, partner))
-                break
+def _glyph_sites(
+    key: str, partners: tuple[dict[str, str], dict[str, str]]
+) -> list[tuple[int, str]]:
+    initial, later = partners
+    if initial.keys().isdisjoint(key):
+        return []
+    sites = [(i, later[ch]) for i, ch in enumerate(key) if i and ch in later]
+    if key[:1] in initial:
+        sites.insert(0, (0, initial[key[0]]))
     return sites
 
 
@@ -399,29 +421,44 @@ def lcd_mistrike(key: str, profile: MistrikeProfile) -> str:
 
 def encode(word: str, config: EncoderConfig | None = None) -> EncodingSet:
     """Encode a word into its prioritized key set."""
+    config = config or _default_config()
+    unique = _unique_keys(_canonical(word, config), config)
+    # tuple() over a list, not a generator: a sized input is not
+    # over-allocated, which keeps `encode --stdin` peak RSS flat.
+    return EncodingSet(
+        encodings=tuple([Encoding(key=k, tier=t) for k, t in unique.items()])
+    )
+
+
+def _canonical(word: str, config: EncoderConfig) -> str:
+    """remove_vowels(simplify(word)) through the tables' compiled maps."""
     if not word:
         raise EmptyWordError("cannot encode an empty word")
-    config = config or _default_config()
-
-    canonical = _canonical(word, config.wy_as_vowels, config.tables)
-    unique: dict[str, Encoding] = {}
-    for key, tier in _staged(canonical, config):
-        if key not in unique:
-            unique[key] = Encoding(key=key, tier=tier)
-            if len(unique) == config.max_encodings:
-                break
-    return EncodingSet(encodings=tuple(unique.values()))
-
-
-def _canonical(word: str, wy_as_vowels: bool, tables: ethiopic.ScriptTables) -> str:
-    """remove_vowels(simplify(word)) through the tables' compiled maps."""
+    tables = config.tables
     if not tables.supported.issuperset(word):
         pos = next(i for i, ch in enumerate(word) if ch not in tables.supported)
         raise InvalidInputError(word[pos], pos, word)
     key = tables.initial_keys[ord(word[0])] + word[1:].translate(tables.later_keys)
-    if wy_as_vowels:
+    if config.wy_as_vowels:
         key = key[:1] + key[1:].translate(_WY_DELETE)
     return key
+
+
+def _unique_keys(
+    canonical: str, config: EncoderConfig, stop: Container[str] = ()
+) -> dict[str, Tier]:
+    """The first max_encodings unique staged keys, with their tiers.
+
+    The walk also ends right after it takes a key that is in stop.
+    """
+    unique: dict[str, Tier] = {}
+    cap = config.max_encodings
+    for key, tier in _staged(canonical, config):
+        if key not in unique:
+            unique[key] = tier
+            if len(unique) == cap or key in stop:
+                break
+    return unique
 
 
 def _staged(canonical: str, config: EncoderConfig) -> Iterator[tuple[str, Tier]]:
@@ -430,16 +467,17 @@ def _staged(canonical: str, config: EncoderConfig) -> Iterator[tuple[str, Tier]]
     The order is the canonical key, its nasal combinations, the glyph
     combinations of each key staged so far, then the downgrade of each
     key staged so far. Generated lazily: the combinations grow
-    exponentially with the number of sites, and encode() stops reading
-    at max_encodings unique keys.
+    exponentially with the number of sites, and _unique_keys() stops
+    reading at max_encodings unique keys.
     """
     staged = [canonical]
     yield canonical, Tier.CANONICAL
     for alt in _swaps(canonical, _nasal_sites(canonical)):
         staged.append(alt)
         yield alt, Tier.PHONOLOGICAL
+    partners = config._glyph_partners
     for key in staged[:]:
-        for alt in _swaps(key, _glyph_sites(key, config.glyph_pairs)):
+        for alt in _swaps(key, _glyph_sites(key, partners)):
             staged.append(alt)
             yield alt, Tier.GLYPH
     if config.profile is not None:

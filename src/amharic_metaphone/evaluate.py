@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import ethiopic
-from .encoder import EncoderConfig, _default_config, encode
+from .encoder import EncoderConfig, _canonical, _default_config, _unique_keys
 from .errors import EmptyCorpusError, LoadError
 
 __all__ = [
@@ -99,10 +99,16 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def load_corpus(path: Path | str) -> list[CorpusEntry]:
-    """Read corpus rows: canonical TAB variant TAB type [TAB expected_fail]."""
+def load_corpus(
+    path: Path | str, tables: ethiopic.ScriptTables | None = None
+) -> list[CorpusEntry]:
+    """Read corpus rows: canonical TAB variant TAB type [TAB expected_fail].
+
+    A word holding a character the tables cannot encode is a LoadError
+    naming the line.
+    """
     path = Path(path)
-    tables = ethiopic.default_tables()
+    tables = tables or ethiopic.default_tables()
     text = ethiopic._read_text(path, "corpus")
     entries: list[CorpusEntry] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -145,9 +151,20 @@ def load_corpus(path: Path | str) -> list[CorpusEntry]:
 
 
 def matches(canonical: str, variant: str, config: EncoderConfig | None = None) -> bool:
-    """True when the two spellings share at least one encoding key."""
+    """True when the two spellings share a key among each side's first
+    max_encodings keys, the keys encode() returns for each.
+
+    Equal canonical keys match without staging any alternate; otherwise
+    the variant's keys are staged only up to the first shared one.
+    """
     config = config or _default_config()
-    return bool(encode(canonical, config).key_set() & encode(variant, config).key_set())
+    key_a = _canonical(canonical, config)
+    key_b = _canonical(variant, config)
+    if key_a == key_b:
+        return True
+    keys_a = _unique_keys(key_a, config)
+    keys_b = _unique_keys(key_b, config, stop=keys_a)
+    return not keys_a.keys().isdisjoint(keys_b)
 
 
 def evaluate(

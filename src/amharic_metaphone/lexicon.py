@@ -15,7 +15,14 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import ethiopic
-from .encoder import EncoderConfig, Tier, _default_config, encode
+from .encoder import (
+    EncoderConfig,
+    Tier,
+    _canonical,
+    _default_config,
+    _unique_keys,
+    encode,
+)
 from .errors import ConfigMismatchError, InvalidInputError, LoadError
 
 __all__ = [
@@ -118,14 +125,16 @@ class EncodingIndex:
         return self.mapping.get(key, {})
 
 
-def load_lexicon(path: Path | str) -> Lexicon:
+def load_lexicon(
+    path: Path | str, tables: ethiopic.ScriptTables | None = None
+) -> Lexicon:
     """Read one word per line; '#' comments and blank lines are skipped.
 
-    Words are NFC-normalized. A line containing anything other than
-    Ethiopic syllables is a LoadError naming the line.
+    Words are NFC-normalized. A line holding a character the tables
+    cannot encode is a LoadError naming the line.
     """
     path = Path(path)
-    tables = ethiopic.default_tables()
+    tables = tables or ethiopic.default_tables()
     text = ethiopic._read_text(path, "lexicon")
     words: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -178,9 +187,9 @@ def suggest(
             "index was built under a different encoder config; rebuild it"
         )
     best: dict[str, Tier] = {}
-    for entry in encode(query, config):
-        for word, word_tier in index.lookup(entry.key).items():
-            tier = max(entry.tier, word_tier)
+    for key, query_tier in _unique_keys(_canonical(query, config), config).items():
+        for word, word_tier in index.lookup(key).items():
+            tier = max(query_tier, word_tier)
             current = best.get(word)
             if current is None or tier < current:
                 best[word] = tier

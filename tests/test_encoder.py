@@ -478,6 +478,10 @@ staging_configs = st.builds(
         default_glyph_pairs(),
         (GlyphPair(a="ፕ", b="ኝ", anywhere=False),),
         (GlyphPair(a="ም", b="ን", anywhere=True), GlyphPair(a="ፕ", b="ኝ", anywhere=True)),
+        # ን in a position-0 pair: nasal alternates keep no shared sites.
+        (GlyphPair(a="ን", b="ኝ", anywhere=False),),
+        # ኝ in two pairs (the loader rejects this): the first pair wins.
+        (GlyphPair(a="ፕ", b="ኝ", anywhere=True), GlyphPair(a="ኝ", b="ም", anywhere=True)),
     ]),
     max_encodings=st.sampled_from([1, 2, 5, 16, 10_000]),
 )
@@ -487,6 +491,40 @@ staging_configs = st.builds(
 @given(word=rule_dense_words, config=staging_configs)
 def test_encode_matches_exhaustive_staging(word, config):
     assert keys_with_tiers(word, config) == staged_exhaustively(word, config)
+
+
+# Letters a nasal, glyph or mistrike rule trades for another.
+_RULE_PARTNERS = {"ም": "ን", "ን": "ም", "ፕ": "ኝ", "ኝ": "ፕ", "ጽ": "ስ",
+                  "ጸ": "ሰ", "ጠ": "ተ", "ጥ": "ት", "ጨ": "ቸ", "ኘ": "ነ"}
+
+
+@st.composite
+def respelled_pairs(draw):
+    """A rule-dense word and a respelling of some of its rule letters, so
+    that the two often share a key other than their canonical keys."""
+    word = draw(rule_dense_words)
+    respelled = "".join(
+        _RULE_PARTNERS[ch] if ch in _RULE_PARTNERS and draw(st.booleans()) else ch
+        for ch in word
+    )
+    return word, respelled
+
+
+@settings(max_examples=300)
+@given(pair=st.tuples(rule_dense_words, rule_dense_words) | respelled_pairs(),
+       config=staging_configs)
+def test_matches_agrees_with_exhaustive_staging(pair, config):
+    a, b = pair
+    keys_a = {k for k, _ in staged_exhaustively(a, config)}
+    keys_b = {k for k, _ in staged_exhaustively(b, config)}
+    assert matches(a, b, config) == matches(b, a, config) == bool(keys_a & keys_b)
+
+
+def test_matches_requires_both_words():
+    with pytest.raises(EmptyWordError):
+        matches("", "ላም")
+    with pytest.raises(EmptyWordError):
+        matches("ላም", "")
 
 
 # --- the compiled canonical key against simplify + remove_vowels ------------

@@ -9,7 +9,7 @@ import pytest
 
 from amharic_metaphone.encoder import EncoderConfig
 from amharic_metaphone.errors import EmptyCorpusError, LoadError
-from amharic_metaphone.ethiopic import data_dir
+from amharic_metaphone.ethiopic import data_dir, load_script_tables
 from amharic_metaphone.evaluate import (
     ERROR_TYPE_LABELS,
     CorpusEntry,
@@ -69,6 +69,16 @@ def test_load_corpus_rejects_malformed_rows(tmp_path, row):
     assert exc.value.line == 1
     if row == "ጠዋት\thello\t6":
         assert str(exc.value) == f"{path}:1: non-Ethiopic character 'h' in 'hello'"
+
+
+def test_load_corpus_checks_words_against_the_given_tables(tmp_path):
+    tables_path = tmp_path / "script_tables.txt"
+    tables_path.write_text("[vowel-carriers]\nአ\n", encoding="utf-8")
+    path = write_corpus(tmp_path, "ቀለ\tቈለ\t6\n")
+    assert len(load_corpus(path)) == 1
+    with pytest.raises(LoadError) as exc:
+        load_corpus(path, load_script_tables(tables_path))
+    assert (exc.value.path, exc.value.line) == (path, 1)
 
 
 def test_load_corpus_missing_file(tmp_path):

@@ -10,7 +10,7 @@ from amharic_metaphone.errors import (
     InvalidInputError,
     LoadError,
 )
-from amharic_metaphone.ethiopic import default_tables
+from amharic_metaphone.ethiopic import default_tables, load_script_tables
 from amharic_metaphone.lexicon import (
     EncodingIndex,
     Lexicon,
@@ -66,6 +66,16 @@ def test_load_lexicon_reports_bad_line(tmp_path):
     assert str(exc.value) == (
         f"{path}:3: non-Ethiopic character '፡' in word 'ላም፡ቤት'"
     )
+
+
+def test_load_lexicon_checks_words_against_the_given_tables(tmp_path):
+    tables_path = tmp_path / "script_tables.txt"
+    tables_path.write_text("[vowel-carriers]\nአ\n", encoding="utf-8")
+    path = write_lexicon(tmp_path, "ቈለ\n")
+    assert "ቈለ" in load_lexicon(path)
+    with pytest.raises(LoadError) as exc:
+        load_lexicon(path, load_script_tables(tables_path))
+    assert (exc.value.path, exc.value.line) == (path, 1)
 
 
 def test_load_lexicon_missing_file(tmp_path):
