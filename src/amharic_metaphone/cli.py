@@ -12,7 +12,7 @@ import re
 import sys
 import unicodedata
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .encoder import EncoderConfig, encode, load_mistrike_profile
 from .errors import AmharicMetaphoneError
@@ -81,13 +81,21 @@ def _nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
 
+def _stdin_words() -> Iterator[str]:
+    """The tokens of standard input, read one line at a time.
+
+    _SEPARATORS holds every line break, so no token spans two lines,
+    and NFC never joins characters across one.
+    """
+    for line in sys.stdin:
+        for token in _SEPARATORS.split(_nfc(line)):
+            if token:
+                yield token
+
+
 def _cmd_encode(args: argparse.Namespace) -> int:
     config = _config(args)
-    words = (
-        [t for t in _SEPARATORS.split(_nfc(sys.stdin.read())) if t]
-        if args.stdin
-        else [_nfc(w) for w in args.words]
-    )
+    words = _stdin_words() if args.stdin else [_nfc(w) for w in args.words]
     for word in words:
         if args.stdin and not config.tables.supported.issuperset(word):
             # Bulk text carries names, numbers, punctuation runs; pass

@@ -26,6 +26,13 @@ Glyph sites come from two partner maps a config builds once from its
 glyph pairs, one for the first key position and one for the rest.
 encode(), suggest() and matches() read one capped walk over the staged
 keys; matches() stops it at the first key the two words share.
+
+A key set depends only on the canonical key and the config, so encode()
+walks each consonant skeleton once per config: it keeps the EncodingSet
+of every canonical key it has seen in a memo on the config, and every
+word with that skeleton gets the same (frozen) set. The memo holds at
+most _KEY_SET_CACHE sets and is emptied when full. suggest() and
+matches() walk without it.
 """
 
 from __future__ import annotations
@@ -73,6 +80,9 @@ _NASAL_TRIGGERS = frozenset({"ብ", "ፍ"})
 
 # Deletes ው and ይ: the wy_as_vowels filter, for str.translate.
 _WY_DELETE = {ord(_WAW): None, ord(_YOD): None}
+
+# Entries in a config's memo of encode() results; emptied when full.
+_KEY_SET_CACHE = 4096
 
 
 class Tier(IntEnum):
@@ -268,6 +278,18 @@ class EncoderConfig:
         return initial, later
 
     @cached_property
+    def _key_sets(self) -> dict[str, EncodingSet]:
+        """encode()'s memo: canonical key -> its EncodingSet.
+
+        It holds at most _KEY_SET_CACHE sets, each no larger than one
+        encode() result, and is emptied when full. Like the other
+        cached properties it stays out of equality, hashing, repr and
+        the fingerprint, and it refers to nothing that refers back to
+        the config.
+        """
+        return {}
+
+    @cached_property
     def fingerprint(self) -> str:
         """Stable digest of everything that shapes key sets.
 
@@ -329,7 +351,9 @@ def simplify(word: str, tables: ethiopic.ScriptTables | None = None) -> str:
     for pos, ch in enumerate(word):
         info = ethiopic.decompose(ch, tables)
         if info is None:
-            raise InvalidInputError(ch, pos, word)
+            raise InvalidInputError(
+                ch, pos, word, ethiopic._left_out(ch, tables)
+            )
         family = tables.representative_of(info.family)
         if family in tables.vowel_carriers:
             out.append(_ALEF)
@@ -361,7 +385,9 @@ def remove_vowels(
     for pos, ch in enumerate(word):
         info = ethiopic.decompose(ch, tables)
         if info is None:
-            raise InvalidInputError(ch, pos, word)
+            raise InvalidInputError(
+                ch, pos, word, ethiopic._left_out(ch, tables)
+            )
         family = tables.representative_of(info.family)
         if family in tables.vowel_carriers:
             if pos == 0:
@@ -420,14 +446,27 @@ def lcd_mistrike(key: str, profile: MistrikeProfile) -> str:
 
 
 def encode(word: str, config: EncoderConfig | None = None) -> EncodingSet:
-    """Encode a word into its prioritized key set."""
+    """Encode a word into its prioritized key set.
+
+    The word is checked and reduced to its canonical key first, so bad
+    words raise before the memo is read. Words with the same canonical
+    key under one config get the same EncodingSet instance: the config
+    keeps up to _KEY_SET_CACHE of them and empties the memo when full.
+    """
     config = config or _default_config()
-    unique = _unique_keys(_canonical(word, config), config)
-    # tuple() over a list, not a generator: a sized input is not
-    # over-allocated, which keeps `encode --stdin` peak RSS flat.
-    return EncodingSet(
-        encodings=tuple([Encoding(key=k, tier=t) for k, t in unique.items()])
-    )
+    canonical = _canonical(word, config)
+    memo = config._key_sets
+    found = memo.get(canonical)
+    if found is None:
+        if len(memo) >= _KEY_SET_CACHE:
+            memo.clear()
+        unique = _unique_keys(canonical, config)
+        # tuple() over a list, not a generator: a sized input is not
+        # over-allocated, which keeps `encode --stdin` peak RSS flat.
+        found = memo[canonical] = EncodingSet(
+            encodings=tuple([Encoding(key=k, tier=t) for k, t in unique.items()])
+        )
+    return found
 
 
 def _canonical(word: str, config: EncoderConfig) -> str:
@@ -437,7 +476,8 @@ def _canonical(word: str, config: EncoderConfig) -> str:
     tables = config.tables
     if not tables.supported.issuperset(word):
         pos = next(i for i, ch in enumerate(word) if ch not in tables.supported)
-        raise InvalidInputError(word[pos], pos, word)
+        ch = word[pos]
+        raise InvalidInputError(ch, pos, word, ethiopic._left_out(ch, tables))
     key = tables.initial_keys[ord(word[0])] + word[1:].translate(tables.later_keys)
     if config.wy_as_vowels:
         key = key[:1] + key[1:].translate(_WY_DELETE)

@@ -318,6 +318,15 @@ def default_tables() -> ScriptTables:
     return _tables_in(data_dir())
 
 
+def _left_out(ch: str, tables: ScriptTables) -> bool:
+    """True for a syllable the default tables support and tables lack.
+
+    Error messages call such a character missing from the script
+    tables, not non-Ethiopic.
+    """
+    return ch not in tables.supported and ch in default_tables().supported
+
+
 def decompose(ch: str, tables: ScriptTables | None = None) -> SyllableInfo | None:
     """Split one character into (family, order), or None if unsupported."""
     if len(ch) != 1:

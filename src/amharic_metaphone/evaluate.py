@@ -142,7 +142,9 @@ def load_corpus(
             if not tables.supported.issuperset(word):
                 ch = next(ch for ch in word if ch not in tables.supported)
                 raise LoadError(
-                    f"non-Ethiopic character {ch!r} in {word!r}",
+                    f"character {ch!r} in {word!r} is not in the script tables"
+                    if ethiopic._left_out(ch, tables)
+                    else f"non-Ethiopic character {ch!r} in {word!r}",
                     path=path,
                     line=lineno,
                 )

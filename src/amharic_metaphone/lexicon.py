@@ -23,7 +23,7 @@ from .encoder import (
     _unique_keys,
     encode,
 )
-from .errors import ConfigMismatchError, InvalidInputError, LoadError
+from .errors import ConfigMismatchError, LoadError
 
 __all__ = [
     "Lexicon",
@@ -145,7 +145,9 @@ def load_lexicon(
         if not tables.supported.issuperset(word):
             ch = next(ch for ch in word if ch not in tables.supported)
             raise LoadError(
-                f"non-Ethiopic character {ch!r} in word {word!r}",
+                f"character {ch!r} in word {word!r} is not in the script tables"
+                if ethiopic._left_out(ch, tables)
+                else f"non-Ethiopic character {ch!r} in word {word!r}",
                 path=path,
                 line=lineno,
             )
@@ -158,11 +160,7 @@ def build_index(lexicon: Lexicon, config: EncoderConfig | None = None) -> Encodi
     config = config or _default_config()
     index = EncodingIndex(fingerprint=config.fingerprint)
     for word in sorted(lexicon.words):
-        try:
-            encodings = encode(word, config)
-        except InvalidInputError as exc:
-            raise InvalidInputError(exc.char, exc.position, word) from exc
-        for entry in encodings:
+        for entry in encode(word, config):
             index.add(entry.key, word, entry.tier)
     return index
 

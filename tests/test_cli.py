@@ -128,6 +128,46 @@ def test_encode_stdin_jsonl_flags_passthrough(capsys, monkeypatch):
     assert records[1] == {"word": "hello", "ethiopic": False, "encodings": []}
 
 
+# Line breaks (\r\n, blank lines), Ethiopic punctuation, a Latin name,
+# Ethiopic numerals, and two spellings that share one canonical key.
+_STDIN_TEXT = (
+    "ሰላም ዓለም፡ Abebe\r\nበ፲፱፻፹ ዓ.ም። ጤና ይስጥልኝ\r\n\r\nMarta ፪ ምንባብ፡፡ሠላም"
+)
+_STDIN_GOLDEN = (
+    "ሰላም\t0\tስልም\n"
+    "ዓለም\t0\tአልም\n"
+    "Abebe\t-\tAbebe\n"
+    "በ፲፱፻፹\t-\tበ፲፱፻፹\n"
+    "ዓ.ም\t-\tዓ.ም\n"
+    "ጤና\t0\tጥን\n"
+    "ጤና\t3\tትን\n"
+    "ይስጥልኝ\t0\tይስጥልኝ\n"
+    "ይስጥልኝ\t2\tይስጥልፕ\n"
+    "ይስጥልኝ\t3\tይስትልን\n"
+    "ይስጥልኝ\t3\tይስትልፕ\n"
+    "Marta\t-\tMarta\n"
+    "፪\t-\t፪\n"
+    "ምንባብ\t0\tምንብብ\n"
+    "ምንባብ\t1\tምምብብ\n"
+    "ሠላም\t0\tስልም\n"
+)
+
+
+def test_encode_stdin_golden_output(capsys, monkeypatch):
+    code, out, err = run(
+        capsys, "encode", "--stdin", stdin=_STDIN_TEXT, monkeypatch=monkeypatch
+    )
+    assert (code, out, err) == (0, _STDIN_GOLDEN, "")
+    result = subprocess.run(
+        [sys.executable, "-m", "amharic_metaphone.cli", "encode", "--stdin"],
+        input=_STDIN_TEXT.encode("utf-8"),
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+    )
+    assert result.returncode == 0
+    assert result.stdout == _STDIN_GOLDEN.encode("utf-8")
+
+
 def test_encode_profile_none_drops_the_input_method_tier(capsys):
     code, out, _ = run(capsys, "encode", "--profile", "none", "ጧት")
     assert code == 0

@@ -6,13 +6,16 @@ alternates, shift-slip downgrade) and double-checked character by
 character before being pinned here.
 """
 
+import gc
 import time
+import weakref
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from amharic_metaphone import encoder
 from amharic_metaphone.encoder import (
     EncoderConfig,
     EncodingSet,
@@ -525,6 +528,98 @@ def test_matches_requires_both_words():
         matches("", "ላም")
     with pytest.raises(EmptyWordError):
         matches("ላም", "")
+
+
+# --- encode's memo of key sets ----------------------------------------------
+
+@settings(max_examples=100)
+@given(words=st.lists(rule_dense_words, min_size=1, max_size=8),
+       config=staging_configs)
+def test_encode_through_one_warm_config_matches_exhaustive_staging(words, config):
+    # One config for the whole list, each word twice: later words are
+    # answered from the memo the earlier ones filled.
+    for word in words + words:
+        assert keys_with_tiers(word, config) == staged_exhaustively(word, config)
+
+
+def test_encode_gives_one_set_per_canonical_key():
+    config = EncoderConfig()
+    first = encode("ሰላም", config)
+    for word in ("ሠላም", "ሰለም"):   # the same key, ስልም
+        assert encode(word, config) is first
+        assert encode(word, EncoderConfig()) == first
+    assert encode("ሰላማት", config).canonical == "ስልምት"
+
+
+def test_encode_memo_is_bounded():
+    config = EncoderConfig(profile=None, glyph_pairs=())
+    memo = config._key_sets
+    bound = encoder._KEY_SET_CACHE
+    letters = "ልምርስሽቅብትችንክዝድጅግጥጭ"
+    words = [a + b + c for a in letters for b in letters for c in letters]
+    assert len(words) > bound
+    for word in words:
+        encode(word, config)
+        assert len(memo) <= bound
+    assert len(memo) == len(words) - bound
+    assert keys_with_tiers(words[0], config) == [(words[0], 0)]
+
+
+def test_encode_rejects_bad_words_before_the_memo():
+    config = EncoderConfig()
+    encode("ሰላም", config)
+    for word, error in (("", EmptyWordError), ("ላx", InvalidInputError),
+                        ("x", InvalidInputError)):
+        with pytest.raises(error):
+            encode(word, config)
+    assert list(config._key_sets) == ["ስልም"]
+
+
+def test_memo_stays_out_of_the_config_identity():
+    cold, warm = EncoderConfig(), EncoderConfig()
+    encode("ሰላም", warm)
+    assert warm == cold
+    assert hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
+    assert warm.fingerprint == cold.fingerprint == "c3b6d1e3774e103d"
+
+
+def test_a_warm_config_is_freed_by_reference_counting():
+    config = EncoderConfig()
+    encode("ሰላም", config)
+    ref = weakref.ref(config)
+    gc.disable()
+    try:
+        del config
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_suggest_and_matches_walk_without_the_memo():
+    index = build_index(Lexicon(words=frozenset({"ሰላም", "ምንባብ"})))
+    config = EncoderConfig()
+    assert [s.word for s in suggest("ሠላም", index, config)] == ["ሰላም"]
+    assert matches("ምንባብ", "ምምባብ", config)
+    assert not matches("ምንባብ", "ሰላም", config)
+    assert "_key_sets" not in vars(config)
+
+
+def test_invalid_input_names_a_syllable_the_tables_leave_out(tmp_path):
+    path = tmp_path / "script_tables.txt"
+    path.write_text("[vowel-carriers]\nአ\n", encoding="utf-8")
+    tables = load_script_tables(path)
+    config = EncoderConfig(profile=None, glyph_pairs=(), tables=tables)
+    for call in (lambda: encode("ላቈ", config), lambda: simplify("ላቈ", tables)):
+        with pytest.raises(InvalidInputError) as exc:
+            call()
+        assert exc.value.left_out
+        assert str(exc.value) == (
+            "scalar 'ቈ' (U+1248) at position 1 in 'ላቈ' is not in the script tables"
+        )
+    with pytest.raises(InvalidInputError) as exc:
+        encode("ላx", config)
+    assert str(exc.value) == "non-Ethiopic scalar 'x' (U+0078) at position 1 in 'ላx'"
 
 
 # --- the compiled canonical key against simplify + remove_vowels ------------

@@ -78,6 +78,17 @@ def test_load_lexicon_checks_words_against_the_given_tables(tmp_path):
     assert (exc.value.path, exc.value.line) == (path, 1)
 
 
+def test_load_lexicon_names_a_syllable_the_tables_leave_out(tmp_path):
+    tables_path = tmp_path / "script_tables.txt"
+    tables_path.write_text("[vowel-carriers]\nአ\n", encoding="utf-8")
+    path = write_lexicon(tmp_path, "ላም\nቈለ\n")
+    with pytest.raises(LoadError) as exc:
+        load_lexicon(path, load_script_tables(tables_path))
+    assert str(exc.value) == (
+        f"{path}:2: character 'ቈ' in word 'ቈለ' is not in the script tables"
+    )
+
+
 def test_load_lexicon_missing_file(tmp_path):
     with pytest.raises(LoadError):
         load_lexicon(tmp_path / "absent.txt")
