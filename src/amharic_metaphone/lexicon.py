@@ -38,48 +38,53 @@ __all__ = [
 ]
 
 _INDEX_MAGIC = "# amharic-metaphone-index v1"
+# The tier tokens dump_index writes. int() would also take "٣", " 1" or "+0".
+_TIERS = {str(int(tier)): tier for tier in Tier}
 
 
 def distance(a: str, b: str) -> int:
-    """Unit-cost Levenshtein distance over Unicode scalars.
+    """Levenshtein distance over Unicode scalars; the bit masks are built for ``a``."""
+    return _distances(a, (b,))[0]
+
+
+def _distances(query: str, words: Iterable[str]) -> list[int]:
+    """Levenshtein distance from the query to each word, in order.
 
     Bit-parallel (Myers, JACM 1999, in Hyyrö's Levenshtein form, Nordic
-    J. Computing 2003): bit i of a mask stands for scalar i of the
-    shorter string, and pv/mv hold the +1/-1 vertical deltas of the
-    current DP column. Each scalar of the longer string advances the
-    column with a fixed number of int operations; Python ints make the
-    word as wide as the string.
+    J. Computing 2003): bit i of a mask (a Python int, as wide as the
+    query) stands for scalar i of the query, whatever the lengths, so the
+    masks are built once for all the words. pv/mv hold the +1/-1 vertical
+    deltas of the DP column that each scalar of a word advances.
     """
-    if a == b:
-        return 0
-    if len(a) > len(b):
-        a, b = b, a
-    if not a:
-        return len(b)
+    if not query:
+        return [len(word) for word in words]
     peq: dict[str, int] = {}
     bit = 1
-    for ch in a:
+    for ch in query:
         peq[ch] = peq.get(ch, 0) | bit
         bit <<= 1
     mask = bit - 1
     last = bit >> 1
-    pv, mv, score = mask, 0, len(a)
-    for ch in b:
-        eq = peq.get(ch, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        if ph & last:
-            score += 1
-        elif mh & last:
-            score -= 1
-        # The top row of the DP grows by one per column: shift in a +1.
-        ph = (ph << 1) | 1
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & mask
-        mv = ph & xv
-    return score
+    scores = []
+    for word in words:
+        pv, mv, score = mask, 0, len(query)
+        for ch in word:
+            eq = peq.get(ch, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | ~(xh | pv)
+            mh = pv & xh
+            if ph & last:
+                score += 1
+            elif mh & last:
+                score -= 1
+            # The top row of the DP grows by one per column: shift in a +1.
+            ph = (ph << 1) | 1
+            mh <<= 1
+            pv = (mh | ~(xv | ph)) & mask
+            mv = ph & xv
+        scores.append(score)
+    return scores
 
 
 @dataclass(frozen=True)
@@ -175,7 +180,9 @@ def suggest(
 
     A candidate's match tier is the max of the query-side and
     lexicon-side tiers of the shared key (the weaker end of the bridge),
-    minimized over all shared keys.
+    minimized over all shared keys. Candidates are ranked by match tier,
+    then edit distance to the query, then the word, and the first
+    ``limit`` are returned.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
@@ -191,12 +198,9 @@ def suggest(
             current = best.get(word)
             if current is None or tier < current:
                 best[word] = tier
-    ranked = [
-        Suggestion(word=word, match_tier=tier, distance=distance(query, word))
-        for word, tier in best.items()
-    ]
-    ranked.sort(key=lambda s: (s.match_tier, s.distance, s.word))
-    return ranked[:limit]
+    # Words are unique, so plain tuples sort in the ranking order.
+    ranked = sorted(zip(best.values(), _distances(query, best), best))
+    return [Suggestion(word, tier, dist) for tier, dist, word in ranked[:limit]]
 
 
 def dump_index(index: EncodingIndex, path: Path | str) -> None:
@@ -245,9 +249,10 @@ def load_index(path: Path | str) -> EncodingIndex:
         if len(parts) != 3:
             raise LoadError("expected key<TAB>word<TAB>tier", path=path, line=lineno)
         key, word, tier_token = parts
-        try:
-            tier = Tier(int(tier_token))
-        except ValueError:
+        if not key or not word:
+            raise LoadError(f"empty {'word' if key else 'key'}", path=path, line=lineno)
+        tier = _TIERS.get(tier_token)
+        if tier is None:
             raise LoadError(f"bad tier {tier_token!r}", path=path, line=lineno)
         index.add(key, word, tier)
     return index

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from amharic_metaphone.lexicon import distance
+from amharic_metaphone.lexicon import _distances, distance
 
 
 def reference(a: str, b: str) -> int:
@@ -64,9 +64,12 @@ strings = st.one_of(
 )
 
 
-@given(a=strings, b=strings)
-def test_pure_matches_reference(a, b):
+@given(a=strings, b=strings, words=st.lists(strings, max_size=3))
+def test_pure_matches_reference(a, b, words):
     assert distance(a, b) == reference(a, b)
+    # One query against many words, the query itself and "" among them.
+    words = [b, a, "", *words]
+    assert _distances(a, words) == [reference(a, w) for w in words]
 
 
 @given(a=strings, b=strings, c=strings)
@@ -88,3 +91,10 @@ def test_supplementary_plane_characters():
     assert distance("\U0001F600", "\U0001F601") == 1
     assert distance("\U0001F600", "\U0001F600") == 0
     assert distance("a\U0001F600b", "ab") == 1
+    # One query against words shorter, equal, astral-swapped and longer
+    # than one machine word; then the empty query against them all.
+    query = "a\U0001F600b\U0001F601"
+    words = ["", query, "ab", "\U0001F601", "a\U0001F601b\U0001F600", "x" * 70]
+    assert _distances(query, words) == [reference(query, w) for w in words]
+    assert _distances(query, words) == [4, 0, 2, 3, 2, 70]
+    assert _distances("", words) == [0, 4, 2, 1, 4, 70]

@@ -20,6 +20,8 @@ from amharic_metaphone.lexicon import (
     load_lexicon,
     suggest,
 )
+from test_distance import reference
+from test_encoder import _RULE_PARTNERS, rule_dense_words
 
 WY = EncoderConfig(wy_as_vowels=True)
 
@@ -184,6 +186,20 @@ def test_dump_and_load_round_trip(tmp_path):
     assert [s.word for s in suggest("ወምበር", loaded)] == ["ወንበር"]
 
 
+def test_load_index_keeps_the_best_tier_of_repeated_lines(tmp_path):
+    path = tmp_path / "index.txt"
+    path.write_text(
+        "# amharic-metaphone-index v1\n# fingerprint 0123456789abcdef\n"
+        "ልም\tላም\t2\nልም\tላም\t0\nልም\tላም\t3\nልን\tላም\t1\n",
+        encoding="utf-8",
+    )
+    index = load_index(path)
+    assert index.mapping == {"ልም": {"ላም": Tier.CANONICAL},
+                             "ልን": {"ላም": Tier.PHONOLOGICAL}}
+    assert all(type(t) is Tier for bucket in index.mapping.values()
+               for t in bucket.values())
+
+
 def test_dump_is_deterministic(tmp_path):
     index = build_index(make_lexicon("ወንበር", "ላም"))
     dump_index(index, tmp_path / "a.txt")
@@ -219,11 +235,26 @@ def test_load_index_rejects_bad_files(tmp_path):
         load_index(bad_tier)
     assert exc.value.line == 3
 
+    # Only the tokens dump_index writes are tiers, though int() takes more.
+    for token in ["٣", "２", " 1", "+0", "0_0", "4", "-1", ""]:
+        bad_tier.write_text(head + f"ልም\tላም\t{token}\n", encoding="utf-8")
+        with pytest.raises(LoadError) as exc:
+            load_index(bad_tier)
+        assert str(exc.value) == f"{bad_tier}:3: bad tier {token!r}"
+
     bad_columns = tmp_path / "c.txt"
     bad_columns.write_text(head + "ልም ላም 0\n", encoding="utf-8")
     with pytest.raises(LoadError) as exc:
         load_index(bad_columns)
     assert exc.value.line == 3
+
+    empty = tmp_path / "e.txt"
+    for line, message in [("\tላም\t0", "empty key"), ("ልም\t\t0", "empty word"),
+                          ("\t\t0", "empty key")]:
+        empty.write_text(head + "ልም\tላም\t0\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(LoadError) as exc:
+            load_index(empty)
+        assert str(exc.value) == f"{empty}:4: {message}"
 
     # A dump that cannot be checked against the query's config is refused.
     for name, second in [("none", ""), ("empty", "# fingerprint \n"),
@@ -257,3 +288,41 @@ def test_every_indexed_word_suggests_itself_first(words):
         assert results[0].word == word
         assert results[0].match_tier == Tier.CANONICAL
         assert results[0].distance == 0
+
+
+# Each rule-dense letter, its other vowel order (same key) and its rule
+# partner (an alternate key), so respellings share keys at several tiers.
+_SPELLINGS = {ch: ch + sibling + _RULE_PARTNERS.get(ch, "") for ch, sibling in zip(
+    "ምመንነብበፍፈፕፐኝኘጽጸጥጠ", "መምነንበብፈፍፐፕኘኝጸጽጠጥ")}
+
+
+@st.composite
+def lexicons_and_respellings(draw):
+    """A rule-dense lexicon holding respellings of one word, and a
+    further respelling of that word as the query."""
+    word = draw(rule_dense_words)
+
+    def respelling():
+        return "".join(draw(st.sampled_from(_SPELLINGS.get(ch, ch))) for ch in word)
+
+    others = draw(st.lists(rule_dense_words, max_size=6))
+    words = {word, *others, *(respelling() for _ in range(draw(st.integers(0, 8))))}
+    return sorted(words), respelling()
+
+
+@given(case=lexicons_and_respellings(), limit=st.integers(1, 12),
+       config=st.sampled_from([EncoderConfig(), WY]))
+def test_suggest_matches_a_brute_force_ranking(case, limit, config):
+    words, query = case
+    query_tiers = {e.key: e.tier for e in encode(query, config)}
+    expected = []
+    for word in words:
+        tiers = [max(query_tiers[e.key], e.tier)
+                 for e in encode(word, config) if e.key in query_tiers]
+        if tiers:
+            expected.append((min(tiers), reference(query, word), word))
+    expected.sort()
+    index = build_index(Lexicon(words=frozenset(words)), config)
+    results = suggest(query, index, config, limit)
+    assert [(s.match_tier, s.distance, s.word) for s in results] == expected[:limit]
+    assert all(type(s.match_tier) is Tier for s in results)
