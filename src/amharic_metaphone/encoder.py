@@ -23,9 +23,11 @@ steps out character by character; they are the readable reference the
 compiled maps are tested against.
 
 Glyph sites come from two partner maps a config builds once from its
-glyph pairs, one for the first key position and one for the rest.
-encode(), suggest() and matches() read one capped walk over the staged
-keys; matches() stops it at the first key the two words share.
+glyph pairs, one for the first key position and one for the rest. One
+lazy walk, _unique_keys(), yields each new key with its tier in staging
+order and stops at max_encodings. encode() and suggest() read it to the
+end; matches() reads two words' walks in turn, one key each, and stops
+at the first key they share.
 
 A key set depends only on the canonical key and the config, so encode()
 walks each consonant skeleton once per config: it keeps the EncodingSet
@@ -43,7 +45,7 @@ from enum import IntEnum
 from functools import cached_property, lru_cache
 from itertools import combinations
 from pathlib import Path
-from typing import Container, Iterator
+from typing import Iterator
 
 from . import ethiopic
 from .errors import (
@@ -92,6 +94,11 @@ class Tier(IntEnum):
     PHONOLOGICAL = 1
     GLYPH = 2
     INPUT_METHOD = 3
+
+
+# The swap stages of the key walk: (tier, whether its sites are glyph
+# sites). Looked up once, as reading a Tier member is slow on 3.11.
+_SWAP_STAGES = ((Tier.PHONOLOGICAL, False), (Tier.GLYPH, True))
 
 
 @dataclass(frozen=True)
@@ -401,20 +408,6 @@ def remove_vowels(
     return "".join(out)
 
 
-def _swaps(key: str, sites: list[tuple[int, str]]) -> Iterator[str]:
-    """The key with each non-empty combination of sites swapped.
-
-    A site is (position, partner). Combinations come smallest first, in
-    site order within a size.
-    """
-    for r in range(1, len(sites) + 1):
-        for combo in combinations(sites, r):
-            chars = list(key)
-            for i, partner in combo:
-                chars[i] = partner
-            yield "".join(chars)
-
-
 def _nasal_sites(key: str) -> list[tuple[int, str]]:
     if _NASAL_SWAP.keys().isdisjoint(key):
         return []
@@ -460,12 +453,11 @@ def encode(word: str, config: EncoderConfig | None = None) -> EncodingSet:
     if found is None:
         if len(memo) >= _KEY_SET_CACHE:
             memo.clear()
-        unique = _unique_keys(canonical, config)
         # tuple() over a list, not a generator: a sized input is not
         # over-allocated, which keeps `encode --stdin` peak RSS flat.
-        found = memo[canonical] = EncodingSet(
-            encodings=tuple([Encoding(key=k, tier=t) for k, t in unique.items()])
-        )
+        found = memo[canonical] = EncodingSet(encodings=tuple([
+            Encoding(key=k, tier=t) for k, t in _unique_keys(canonical, config)
+        ]))
     return found
 
 
@@ -484,45 +476,47 @@ def _canonical(word: str, config: EncoderConfig) -> str:
     return key
 
 
-def _unique_keys(
-    canonical: str, config: EncoderConfig, stop: Container[str] = ()
-) -> dict[str, Tier]:
-    """The first max_encodings unique staged keys, with their tiers.
+def _unique_keys(canonical: str, config: EncoderConfig) -> Iterator[tuple[str, Tier]]:
+    """Each new key in staging order with its tier, up to max_encodings.
 
-    The walk also ends right after it takes a key that is in stop.
+    The order is the canonical key, its nasal combinations, then the
+    glyph combinations and lastly the downgrade of each key taken so far.
+    A combination swaps every site (position, partner) in it, smallest
+    combinations first. Lazy, as combinations grow exponentially; only
+    unique keys are downgraded, as a repeat downgrades to the same key.
     """
-    unique: dict[str, Tier] = {}
     cap = config.max_encodings
-    for key, tier in _staged(canonical, config):
-        if key not in unique:
-            unique[key] = tier
-            if len(unique) == cap or key in stop:
-                break
-    return unique
-
-
-def _staged(canonical: str, config: EncoderConfig) -> Iterator[tuple[str, Tier]]:
-    """Every candidate key in staging order, repeats included.
-
-    The order is the canonical key, its nasal combinations, the glyph
-    combinations of each key staged so far, then the downgrade of each
-    key staged so far. Generated lazily: the combinations grow
-    exponentially with the number of sites, and _unique_keys() stops
-    reading at max_encodings unique keys.
-    """
-    staged = [canonical]
-    yield canonical, Tier.CANONICAL
-    for alt in _swaps(canonical, _nasal_sites(canonical)):
-        staged.append(alt)
-        yield alt, Tier.PHONOLOGICAL
+    tier = Tier.CANONICAL
+    taken = {canonical: tier}
+    yield canonical, tier
+    if cap == 1:
+        return
     partners = config._glyph_partners
-    for key in staged[:]:
-        for alt in _swaps(key, _glyph_sites(key, partners)):
-            staged.append(alt)
-            yield alt, Tier.GLYPH
+    # Each stage reads the keys taken before it: the nasal stage reads
+    # the canonical key alone.
+    for tier, glyph in _SWAP_STAGES:
+        for key in list(taken):
+            sites = _glyph_sites(key, partners) if glyph else _nasal_sites(key)
+            if not sites:
+                continue
+            chars = list(key)
+            for r in range(1, len(sites) + 1):
+                for combo in combinations(sites, r):
+                    swapped = chars[:]
+                    for i, partner in combo:
+                        swapped[i] = partner
+                    alt = "".join(swapped)
+                    if alt not in taken:
+                        taken[alt] = tier
+                        yield alt, tier
+                        if len(taken) == cap:
+                            return
     if config.profile is not None:
-        for key in staged:
-            downgraded = lcd_mistrike(key, config.profile)
-            if downgraded != key:
-                yield downgraded, Tier.INPUT_METHOD
-
+        tier = Tier.INPUT_METHOD
+        for key in list(taken):
+            alt = lcd_mistrike(key, config.profile)
+            if alt not in taken:
+                taken[alt] = tier
+                yield alt, tier
+                if len(taken) == cap:
+                    return

@@ -327,6 +327,18 @@ def _left_out(ch: str, tables: ScriptTables) -> bool:
     return ch not in tables.supported and ch in default_tables().supported
 
 
+def _unencodable(
+    word: str, tables: ScriptTables, path: Path, line: int, noun: str = "word "
+) -> LoadError:
+    """The LoadError for a word in a data file that the tables cannot encode."""
+    ch = next(ch for ch in word if ch not in tables.supported)
+    where = f"{ch!r} in {noun}{word!r}"
+    if not _left_out(ch, tables):
+        return LoadError(f"non-Ethiopic character {where}", path=path, line=line)
+    return LoadError(f"character {where} is not in the script tables",
+                     path=path, line=line)
+
+
 def decompose(ch: str, tables: ScriptTables | None = None) -> SyllableInfo | None:
     """Split one character into (family, order), or None if unsupported."""
     if len(ch) != 1:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
 from . import ethiopic
@@ -140,14 +141,7 @@ def load_corpus(
             if not word:
                 raise LoadError("empty word", path=path, line=lineno)
             if not tables.supported.issuperset(word):
-                ch = next(ch for ch in word if ch not in tables.supported)
-                raise LoadError(
-                    f"character {ch!r} in {word!r} is not in the script tables"
-                    if ethiopic._left_out(ch, tables)
-                    else f"non-Ethiopic character {ch!r} in {word!r}",
-                    path=path,
-                    line=lineno,
-                )
+                raise ethiopic._unencodable(word, tables, path, lineno, noun="")
         entries.append(CorpusEntry(canonical, variant, error_type, expected_fail))
     return entries
 
@@ -156,17 +150,26 @@ def matches(canonical: str, variant: str, config: EncoderConfig | None = None) -
     """True when the two spellings share a key among each side's first
     max_encodings keys, the keys encode() returns for each.
 
-    Equal canonical keys match without staging any alternate; otherwise
-    the variant's keys are staged only up to the first shared one.
+    Equal canonical keys match without staging any alternate. Otherwise
+    the two key walks are read in turn, one key each, up to the first
+    key one side yields that the other has already yielded.
     """
     config = config or _default_config()
     key_a = _canonical(canonical, config)
     key_b = _canonical(variant, config)
     if key_a == key_b:
         return True
-    keys_a = _unique_keys(key_a, config)
-    keys_b = _unique_keys(key_b, config, stop=keys_a)
-    return not keys_a.keys().isdisjoint(keys_b)
+    seen_a: set[str] = set()
+    seen_b: set[str] = set()
+    # An ended walk reads as "", which is no key; zip_longest stops when
+    # both have ended, so "" never meets "".
+    walks = _unique_keys(key_a, config), _unique_keys(key_b, config)
+    for (a, _), (b, _) in zip_longest(*walks, fillvalue=("", 0)):
+        seen_a.add(a)
+        if a in seen_b or b in seen_a:
+            return True
+        seen_b.add(b)
+    return False
 
 
 def evaluate(

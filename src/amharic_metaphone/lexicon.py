@@ -148,14 +148,7 @@ def load_lexicon(
             continue
         word = unicodedata.normalize("NFC", line)
         if not tables.supported.issuperset(word):
-            ch = next(ch for ch in word if ch not in tables.supported)
-            raise LoadError(
-                f"character {ch!r} in word {word!r} is not in the script tables"
-                if ethiopic._left_out(ch, tables)
-                else f"non-Ethiopic character {ch!r} in word {word!r}",
-                path=path,
-                line=lineno,
-            )
+            raise ethiopic._unencodable(word, tables, path, lineno)
         words.add(word)
     return Lexicon(words=frozenset(words))
 
@@ -192,7 +185,7 @@ def suggest(
             "index was built under a different encoder config; rebuild it"
         )
     best: dict[str, Tier] = {}
-    for key, query_tier in _unique_keys(_canonical(query, config), config).items():
+    for key, query_tier in _unique_keys(_canonical(query, config), config):
         for word, word_tier in index.lookup(key).items():
             tier = max(query_tier, word_tier)
             current = best.get(word)
@@ -230,9 +223,16 @@ def dump_index(index: EncodingIndex, path: Path | str) -> None:
         raise
 
 
-def load_index(path: Path | str) -> EncodingIndex:
-    """Reload a dump_index() file without re-encoding the lexicon."""
+def load_index(
+    path: Path | str, tables: ethiopic.ScriptTables | None = None
+) -> EncodingIndex:
+    """Reload a dump_index() file without re-encoding the lexicon.
+
+    A word holding a character the tables cannot encode is a LoadError
+    naming the line, as in load_lexicon().
+    """
     path = Path(path)
+    tables = tables or ethiopic.default_tables()
     lines = ethiopic._read_text(path, "index").splitlines()
     if not lines or lines[0].strip() != _INDEX_MAGIC:
         raise LoadError("not an index dump (bad header)", path=path, line=1)
@@ -251,6 +251,8 @@ def load_index(path: Path | str) -> EncodingIndex:
         key, word, tier_token = parts
         if not key or not word:
             raise LoadError(f"empty {'word' if key else 'key'}", path=path, line=lineno)
+        if not tables.supported.issuperset(word):
+            raise ethiopic._unencodable(word, tables, path, lineno)
         tier = _TIERS.get(tier_token)
         if tier is None:
             raise LoadError(f"bad tier {tier_token!r}", path=path, line=lineno)

@@ -530,6 +530,26 @@ def test_matches_requires_both_words():
         matches("ላም", "")
 
 
+@pytest.mark.parametrize("a, b, expected", [
+    ("ምብ" * 500, "ንብ" * 500, False),
+    ("ምብ" * 500, "ምፍ" * 500, False),
+    ("ፕምብ" * 300, "ኝንብ" * 300, False),
+    # b is a's first nasal alternate.
+    ("ምብ" * 500, "ንብ" + "ምብ" * 499, True),
+    # A swap the cap keeps out of both key sets: the nasal alternates
+    # fill them before any glyph swap or late site is reached.
+    ("ፕምብ" * 300, "ኝምብ" + "ፕምብ" * 299, False),
+    ("ምብ" * 500, "ምብ" * 499 + "ንብ", False),
+])
+def test_matches_walks_both_words_lazily(a, b, expected):
+    # Hundreds of sites per word: staging every combination of either
+    # word would never end, so each answer shows both walks stop early.
+    for first, second in ((a, b), (b, a)):
+        start = time.perf_counter()
+        assert matches(first, second) is expected
+        assert time.perf_counter() - start < 1.0
+
+
 # --- encode's memo of key sets ----------------------------------------------
 
 @settings(max_examples=100)

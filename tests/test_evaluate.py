@@ -125,6 +125,36 @@ def test_matches_is_symmetric(bundled):
         )
 
 
+# Every bundled row that does not match, under each config. The per-type
+# counts could hide two rows trading places; these lists cannot.
+UNMATCHED_DEFAULT = [
+    ("ሁለት", "ኸለት"), ("ሁሉ", "ኸሉ"), ("ሀገር", "አገር"), ("ብሎኦቸው", "ብሎዋቸው"),
+    ("ኅምሳ", "አምሳ"), ("ከበጉዋይ", "ከበጉይ"), ("ሆኗል", "ሆኖአል"), ("ዓድዋ", "ዓዲ"),
+    ("ይዟል", "ይዞአል"), ("ዐመፀ", "ዐመጠ"), ("ዓፄ", "ዓጤ"), ("ዓፄ", "ሐፄ"),
+    ("ቴክኖሎጂ", "ቴክኒዎሎጂ"), ("ኢሜይል", "ኢሜል"), ("ኢሜይል", "ኤሜል"),
+    ("ኮምፒዩተር", "ኮምፒውተር"),
+]
+UNMATCHED_WY = [
+    ("ሁለት", "ኸለት"), ("ሁሉ", "ኸሉ"), ("ሀገር", "አገር"), ("ኅምሳ", "አምሳ"),
+    ("ዐመፀ", "ዐመጠ"), ("ዓፄ", "ዓጤ"), ("ዓፄ", "ሐፄ"),
+]
+# The expected_fail rows, built on a different stem, match under neither.
+UNMATCHED_XFAIL = [("ተቃውሞዎቻቸው", "ተቃውሞአቸው"), ("ጀርአቸውን", "ጀሮዎቻቸውን")]
+
+
+@pytest.mark.parametrize("config, unmatched", [
+    (EncoderConfig(), UNMATCHED_DEFAULT),
+    (WY, UNMATCHED_WY),
+])
+def test_bundled_rows_that_do_not_match(bundled, config, unmatched):
+    misses = [(e.canonical, e.variant) for e in bundled
+              if not e.expected_fail and not matches(e.canonical, e.variant, config)]
+    assert misses == unmatched
+    xfail = [(e.canonical, e.variant) for e in bundled if e.expected_fail]
+    assert xfail == UNMATCHED_XFAIL
+    assert not any(matches(a, b, config) for a, b in xfail)
+
+
 # --- evaluate ---------------------------------------------------------------
 
 def test_evaluate_rejects_empty_corpus():

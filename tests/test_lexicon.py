@@ -272,6 +272,30 @@ def test_load_index_rejects_bad_files(tmp_path):
         load_index(tmp_path / "absent.txt")
 
 
+def test_load_index_checks_words_against_the_tables(tmp_path):
+    head = "# amharic-metaphone-index v1\n# fingerprint c3b6d1e3774e103d\n"
+    path = tmp_path / "index.txt"
+    # Hand-edited lines whose words load_lexicon would refuse.
+    for line, ch, word in [("ልም\tla m\t0", "l", "la m"),
+                           ("ልም\t ላም \t1", " ", " ላም ")]:
+        path.write_text(head + "ልም\tላም\t0\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(LoadError) as exc:
+            load_index(path)
+        assert str(exc.value) == (
+            f"{path}:4: non-Ethiopic character {ch!r} in word {word!r}"
+        )
+
+    tables_path = tmp_path / "script_tables.txt"
+    tables_path.write_text("[vowel-carriers]\nአ\n", encoding="utf-8")
+    path.write_text(head + "ቅል\tቈለ\t0\n", encoding="utf-8")
+    assert load_index(path).mapping == {"ቅል": {"ቈለ": Tier.CANONICAL}}
+    with pytest.raises(LoadError) as exc:
+        load_index(path, load_script_tables(tables_path))
+    assert str(exc.value) == (
+        f"{path}:3: character 'ቈ' in word 'ቈለ' is not in the script tables"
+    )
+
+
 # --- properties -------------------------------------------------------------
 
 _tables = default_tables()
