@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .encoder import EncoderConfig, encode, load_mistrike_profile
-from .errors import AmharicMetaphoneError
+from .errors import AmharicMetaphoneError, InvalidInputError
 from .evaluate import ERROR_TYPE_LABELS, evaluate, load_corpus
 from .lexicon import build_index, dump_index, load_lexicon, suggest
 
@@ -97,7 +97,11 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     config = _config(args)
     words = _stdin_words() if args.stdin else [_nfc(w) for w in args.words]
     for word in words:
-        if args.stdin and not config.tables.supported.issuperset(word):
+        try:
+            encodings = encode(word, config)
+        except InvalidInputError:
+            if not args.stdin:
+                raise
             # Bulk text carries names, numbers, punctuation runs; pass
             # them through with a '-' tier flag instead of failing.
             if args.format == "jsonl":
@@ -106,7 +110,6 @@ def _cmd_encode(args: argparse.Namespace) -> int:
             else:
                 print(f"{word}\t-\t{word}")
             continue
-        encodings = encode(word, config)
         if args.format == "jsonl":
             record = {
                 "word": word,

@@ -16,11 +16,13 @@ vowel.
 
 An EncoderConfig decides a key set: it holds the script tables, the
 glyph pairs and the mistrike profile, and its fingerprint digests all
-of them. encode() takes the canonical key from the per-scalar maps
-compiled into its tables (ScriptTables.initial_keys and later_keys),
-one translate per word. simplify() and remove_vowels() spell the two
-steps out character by character; they are the readable reference the
-compiled maps are tested against.
+of them. Each takes only declared facts and derives the rest, so two
+configs with one fingerprint key every word alike. encode() takes the
+canonical key from the per-scalar maps compiled into its tables
+(ScriptTables.initial_keys and later_keys), one translate per word.
+simplify() and remove_vowels() spell the two steps out character by
+character; they are the readable reference the compiled maps are
+tested against.
 
 Glyph sites come from two partner maps a config builds once from its
 glyph pairs, one for the first key position and one for the rest. One
@@ -39,7 +41,6 @@ matches() walk without it.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property, lru_cache
@@ -139,19 +140,24 @@ class MistrikeProfile:
     """Shifted/plain consonant pairs of an input method.
 
     pairs holds (shifted, plain) family heads as written (first-order
-    forms); sadis_pairs holds the same mapping in key alphabet. The
-    downgrade runs in the shifted-to-plain direction only: typing the
-    shifted form requires deliberate effort, mistyping it does not.
+    forms); ValueError if one is not. sadis_pairs is derived from it:
+    the same mapping in key alphabet. The downgrade runs in the
+    shifted-to-plain direction only: typing the shifted form requires
+    deliberate effort, mistyping it does not.
     """
 
     pairs: tuple[tuple[str, str], ...]
-    sadis_pairs: tuple[tuple[str, str], ...]
+    sadis_pairs: tuple[tuple[str, str], ...] = field(init=False)
     _key_table: dict[int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_key_table", {ord(a): b for a, b in self.sadis_pairs}
-        )
+        sadis_of = ethiopic._SADIS_FORM
+        for family in (f for pair in self.pairs for f in pair):
+            if family not in sadis_of:
+                raise ValueError(f"{family!r} is not a first-order family form")
+        sadis_pairs = tuple((sadis_of[a], sadis_of[b]) for a, b in self.pairs)
+        object.__setattr__(self, "sadis_pairs", sadis_pairs)
+        object.__setattr__(self, "_key_table", {ord(a): b for a, b in sadis_pairs})
 
     def key_table(self) -> dict[int, str]:
         """The shifted-to-plain map in key alphabet, for str.translate."""
@@ -174,14 +180,10 @@ class GlyphPair:
         return None
 
 
-def load_mistrike_profile(
-    path: Path | str, tables: ethiopic.ScriptTables | None = None
-) -> MistrikeProfile:
+def load_mistrike_profile(path: Path | str) -> MistrikeProfile:
     """Load a [mistrike-pairs] file of (shifted, plain) family pairs."""
     path = Path(path)
-    tables = tables or ethiopic.default_tables()
     pairs: list[tuple[str, str]] = []
-    sadis_pairs: list[tuple[str, str]] = []
     seen_shifted: set[str] = set()
     for lineno, section, tokens in ethiopic._records(path):
         if section != "mistrike-pairs":
@@ -191,8 +193,7 @@ def load_mistrike_profile(
                             path=path, line=lineno)
         shifted, plain = tokens
         for family in (shifted, plain):
-            info = tables.by_char.get(family)
-            if info is None or info[1] != 1:
+            if family not in ethiopic._SADIS_FORM:
                 raise LoadError(f"{family!r} is not a first-order family form",
                                 path=path, line=lineno)
         if shifted in seen_shifted:
@@ -200,19 +201,12 @@ def load_mistrike_profile(
                             path=path, line=lineno)
         seen_shifted.add(shifted)
         pairs.append((shifted, plain))
-        sadis_pairs.append(
-            (ethiopic.compose(shifted, ethiopic.SADIS, tables),
-             ethiopic.compose(plain, ethiopic.SADIS, tables))
-        )
-    return MistrikeProfile(pairs=tuple(pairs), sadis_pairs=tuple(sadis_pairs))
+    return MistrikeProfile(pairs=tuple(pairs))
 
 
-def load_glyph_pairs(
-    path: Path | str, tables: ethiopic.ScriptTables | None = None
-) -> tuple[GlyphPair, ...]:
+def load_glyph_pairs(path: Path | str) -> tuple[GlyphPair, ...]:
     """Load a [glyph-pairs] file of confusable key characters."""
     path = Path(path)
-    tables = tables or ethiopic.default_tables()
     pairs: list[GlyphPair] = []
     used: set[str] = set()
     for lineno, section, tokens in ethiopic._records(path):
@@ -223,8 +217,7 @@ def load_glyph_pairs(
                             path=path, line=lineno)
         a, b, position = tokens
         for ch in (a, b):
-            info = tables.by_char.get(ch)
-            if info is None or info[1] != ethiopic.SADIS:
+            if ch not in ethiopic._SADIS_FORM.values():
                 raise LoadError(f"{ch!r} is not a sadis-order key character",
                                 path=path, line=lineno)
             if ch in used:
@@ -304,6 +297,10 @@ class EncoderConfig:
         rejected instead of silently missing. It depends on the tables'
         contents, not on which object holds them.
         """
+        # Imported here: encode and evaluate never read the fingerprint,
+        # and hashlib loads libcrypto.
+        import hashlib
+
         tables = self.tables
         parts = [
             f"wy={int(self.wy_as_vowels)}",
@@ -330,12 +327,11 @@ class EncoderConfig:
 
 @lru_cache(maxsize=None)
 def _config_in(directory: Path) -> EncoderConfig:
-    """The directory's tables, then its profile and glyph pairs checked
-    against those tables."""
+    """The directory's tables, then its profile and glyph pairs."""
     tables = ethiopic._tables_in(directory)
     return EncoderConfig(
-        profile=load_mistrike_profile(directory / "mistrike_profile.txt", tables),
-        glyph_pairs=load_glyph_pairs(directory / "glyph_pairs.txt", tables),
+        profile=load_mistrike_profile(directory / "mistrike_profile.txt"),
+        glyph_pairs=load_glyph_pairs(directory / "glyph_pairs.txt"),
         tables=tables,
     )
 
@@ -372,21 +368,18 @@ def simplify(word: str, tables: ethiopic.ScriptTables | None = None) -> str:
     return "".join(out)
 
 
-def remove_vowels(
-    word: str,
-    config: EncoderConfig | None = None,
-    tables: ethiopic.ScriptTables | None = None,
-) -> str:
-    """Reduce a simplified word to its consonant key.
+def remove_vowels(word: str, config: EncoderConfig | None = None) -> str:
+    """Reduce a simplified word to its consonant key with config.tables.
 
     Non-initial vowel carriers are dropped; a word-initial carrier stays
     as a leading አ. Everything else becomes its family's sadis form,
     with fourth-order labiovelars (Cʷa) expanding to [sadis, ው] and the
     remaining ʷ-vowels collapsing to the bare sadis. With wy_as_vowels
     set, non-initial ው and ይ are dropped from the finished key no matter
-    which rule emitted them, so equal default keys stay equal.
+    which rule emitted them, so equal default keys stay equal. Without
+    a config the default tables are read and ው and ይ are kept.
     """
-    tables = tables or ethiopic.default_tables()
+    tables = config.tables if config is not None else ethiopic.default_tables()
     wy = config.wy_as_vowels if config is not None else False
     out: list[str] = []
     for pos, ch in enumerate(word):

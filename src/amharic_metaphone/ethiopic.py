@@ -22,6 +22,10 @@ arithmetic on codepoints; tests cross-check every entry against the
 Unicode character database names. U+1358..U+135A (RYA, MYA, FYA) have no
 family/order structure and are treated as unsupported, like punctuation
 and numerals.
+
+The regular rows are fixed and laid out once. A ScriptTables takes only
+what a table file declares (homophone classes, vowel carriers and the
+standalone ʷ-series syllables) and derives everything else from it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
@@ -53,9 +56,6 @@ SADIS = 6
 WA = 14
 OA = 18
 SERIES_ORDERS = (11, 13, 14, 15, 16)
-
-# Offset of each standalone-series member within its row, by order.
-_SERIES_OFFSETS = {0: 11, 2: 13, 3: 14, 4: 15, 5: 16}
 
 # Regular family rows: base codepoint and the kind of the eighth column.
 #   "wa"  = fourth-order labiovelar (order 14)
@@ -104,6 +104,7 @@ _FAMILY_ROWS = (
 )
 
 _ENV_DATA_DIR = "AMHARIC_METAPHONE_DATA"
+_PACKAGE_DATA = Path(__file__).with_name("data")
 
 _ALEF = "አ"
 _WAW = "ው"
@@ -122,32 +123,37 @@ class SyllableInfo:
 class ScriptTables:
     """Script data driving the encoder.
 
-    by_char and by_family hold the full codepoint layout (regular rows
-    plus the standalone ʷ-series merged into their base families).
-    representative maps each family to its homophone-class head; families
-    absent from the mapping are their own head.
+    The three fields a table file declares: representative maps each
+    family to its homophone-class head (families absent from the
+    mapping are their own head), vowel_carriers holds the families that
+    carry bare vowels, and labiovelar_map places each standalone
+    ʷ-series syllable at its (base family, order) slot.
 
-    The remaining fields are derived from these: supported is the set
-    of supported scalars, and initial_keys and later_keys are the
-    str.translate maps from each of them to the fragment it adds to a
-    canonical key at the start of a word and after it (homophone merge
-    plus vowel strip, before the wy_as_vowels filter). Tables compare
-    and hash by identity.
+    The remaining fields are derived from these. by_char and by_family
+    hold the full codepoint layout: the fixed regular rows plus the
+    labiovelar_map entries. supported is the set of supported scalars,
+    and initial_keys and later_keys are the str.translate maps from
+    each of them to the fragment it adds to a canonical key at the
+    start of a word and after it (homophone merge plus vowel strip,
+    before the wy_as_vowels filter). Tables compare and hash by
+    identity.
     """
 
-    by_char: Mapping[str, tuple[str, int]]
-    by_family: Mapping[tuple[str, int], str]
     representative: Mapping[str, str]
     vowel_carriers: frozenset[str]
     labiovelar_map: Mapping[str, tuple[str, int]]
+    by_char: Mapping[str, tuple[str, int]] = field(init=False, repr=False)
+    by_family: Mapping[tuple[str, int], str] = field(init=False, repr=False)
     initial_keys: Mapping[int, str] = field(init=False, repr=False)
     later_keys: Mapping[int, str] = field(init=False, repr=False)
     supported: frozenset[str] = field(init=False, repr=False)
 
     def __post_init__(self):
+        by_char = {**_BASE_BY_CHAR, **self.labiovelar_map}
+        by_family = {slot: ch for ch, slot in by_char.items()}
         initial: dict[int, str] = {}
         later: dict[int, str] = {}
-        for ch, (family, order) in self.by_char.items():
+        for ch, (family, order) in by_char.items():
             code = ord(ch)
             head = self.representative_of(family)
             if head in self.vowel_carriers:
@@ -157,51 +163,50 @@ class ScriptTables:
             if head in self.vowel_carriers:
                 initial[code], later[code] = _ALEF, ""
                 continue
-            fragment = self.by_family[(head, SADIS)]
+            fragment = by_family[(head, SADIS)]
             if order == WA:
                 fragment += _WAW
             initial[code] = later[code] = fragment
+        object.__setattr__(self, "by_char", by_char)
+        object.__setattr__(self, "by_family", by_family)
         object.__setattr__(self, "initial_keys", initial)
         object.__setattr__(self, "later_keys", later)
-        object.__setattr__(self, "supported", frozenset(self.by_char))
+        object.__setattr__(self, "supported", frozenset(by_char))
 
     def representative_of(self, family: str) -> str:
         return self.representative.get(family, family)
 
 
-def _base_layout() -> tuple[dict[str, tuple[str, int]], dict[tuple[str, int], str]]:
-    """Codepoint layout of the regular family rows."""
+def _base_layout() -> dict[str, tuple[str, int]]:
+    """Codepoint layout of the regular family rows: scalar -> (family, order)."""
     by_char: dict[str, tuple[str, int]] = {}
-    by_family: dict[tuple[str, int], str] = {}
     for base, eighth in _FAMILY_ROWS:
         family = chr(base)
         for offset in range(7):
-            ch = chr(base + offset)
-            by_char[ch] = (family, offset + 1)
-            by_family[(family, offset + 1)] = ch
+            by_char[chr(base + offset)] = (family, offset + 1)
         if eighth is not None:
-            ch = chr(base + 7)
-            order = WA if eighth == "wa" else OA
-            by_char[ch] = (family, order)
-            by_family[(family, order)] = ch
-    return by_char, by_family
+            by_char[chr(base + 7)] = (family, WA if eighth == "wa" else OA)
+    return by_char
+
+
+# The regular rows, laid out once. Every family's first-order and sadis
+# forms sit here, and a labiovelar_map entry (orders 11-16) can never
+# displace one, so rule files are checked against this layout alone.
+_BASE_BY_CHAR = _base_layout()
+# Each family (its first-order form) -> its sadis form.
+_SADIS_FORM = {
+    family: ch for ch, (family, order) in _BASE_BY_CHAR.items() if order == SADIS
+}
 
 
 def data_dir() -> Path:
     """Directory holding the bundled table files.
 
-    The AMHARIC_METAPHONE_DATA environment variable overrides the
-    packaged default. The variable is read on every call; the path it
-    names is built once per value.
+    The AMHARIC_METAPHONE_DATA environment variable, read on every
+    call, overrides the data/ directory beside this module.
     """
-    return _resolve_data_dir(os.environ.get(_ENV_DATA_DIR))
-
-
-@lru_cache(maxsize=None)
-def _resolve_data_dir(override: str | None) -> Path:
-    if override:
-        return Path(override)
-    return Path(str(resources.files("amharic_metaphone").joinpath("data")))
+    override = os.environ.get(_ENV_DATA_DIR)
+    return Path(override) if override else _PACKAGE_DATA
 
 
 def _read_text(path: Path, kind: str) -> str:
@@ -238,14 +243,13 @@ def load_script_tables(path: Path | str) -> ScriptTables:
     tokens. See data/script_tables.txt for the grammar in use.
     """
     path = Path(path)
-    by_char, by_family = _base_layout()
     representative: dict[str, str] = {}
     carriers: set[str] = set()
     labiovelar: dict[str, tuple[str, int]] = {}
+    slots = set(_BASE_BY_CHAR.values())
 
     def _family(token: str, lineno: int) -> str:
-        info = by_char.get(token)
-        if info is None or info[1] != 1:
+        if token not in _SADIS_FORM:
             raise LoadError(
                 f"{token!r} is not a first-order family form", path=path, line=lineno
             )
@@ -276,12 +280,12 @@ def load_script_tables(path: Path | str) -> ScriptTables:
             if order not in SERIES_ORDERS:
                 raise LoadError(f"order {order} is not a ʷ-series order",
                                 path=path, line=lineno)
-            if ch in by_char or (base, order) in by_family:
+            slot = (base, order)
+            if ch in _BASE_BY_CHAR or ch in labiovelar or slot in slots:
                 raise LoadError(f"{ch!r} collides with an existing slot",
                                 path=path, line=lineno)
-            by_char[ch] = (base, order)
-            by_family[(base, order)] = ch
-            labiovelar[ch] = (base, order)
+            labiovelar[ch] = slot
+            slots.add(slot)
         elif section == "vowel-carriers":
             if len(tokens) != 1:
                 raise LoadError("expected one family per record", path=path, line=lineno)
@@ -293,12 +297,7 @@ def load_script_tables(path: Path | str) -> ScriptTables:
         if head in representative:
             raise LoadError(f"class head {head!r} is itself a member of another class",
                             path=path)
-    for family, _ in _FAMILY_ROWS:
-        if (chr(family), SADIS) not in by_family:
-            raise LoadError(f"family {chr(family)!r} has no sadis member", path=path)
     return ScriptTables(
-        by_char=by_char,
-        by_family=by_family,
         representative=representative,
         vowel_carriers=frozenset(carriers),
         labiovelar_map=labiovelar,

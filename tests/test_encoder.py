@@ -9,6 +9,7 @@ character before being pinned here.
 import gc
 import time
 import weakref
+from dataclasses import fields
 from itertools import combinations
 
 import pytest
@@ -39,6 +40,7 @@ from amharic_metaphone.errors import (
 )
 from amharic_metaphone.ethiopic import (
     SADIS,
+    ScriptTables,
     decompose,
     default_tables,
     load_script_tables,
@@ -319,6 +321,31 @@ def test_bundled_fingerprints_are_pinned():
     # Index dumps store these digests: a change here orphans every dump.
     assert EncoderConfig().fingerprint == "c3b6d1e3774e103d"
     assert EncoderConfig(wy_as_vowels=True).fingerprint == "0cb3cc46431bf323"
+
+
+def test_constructors_take_only_what_the_fingerprint_reads():
+    def declared(cls):
+        return [f.name for f in fields(cls) if f.init]
+
+    assert declared(ScriptTables) == ["representative", "vowel_carriers",
+                                      "labiovelar_map"]
+    assert declared(MistrikeProfile) == ["pairs"]
+    # Each declared field moves the fingerprint, so two configs that key
+    # words differently cannot share one.
+    tables = default_tables()
+    bundled = {name: getattr(tables, name) for name in declared(ScriptTables)}
+    base = EncoderConfig().fingerprint
+    for name, value in (("representative", {}), ("vowel_carriers", frozenset("ዐ")),
+                        ("labiovelar_map", {})):
+        variant = EncoderConfig(tables=ScriptTables(**{**bundled, name: value}))
+        assert variant.fingerprint != base, name
+    profile = MistrikeProfile(pairs=(("ጠ", "ተ"),))
+    assert profile.sadis_pairs == (("ጥ", "ት"),)
+    assert EncoderConfig(profile=profile).fingerprint != base
+    with pytest.raises(ValueError, match="'ጥ' is not a first-order family form"):
+        MistrikeProfile(pairs=(("ጥ", "ት"),))
+    with pytest.raises(TypeError):
+        MistrikeProfile(pairs=(("ጠ", "ተ"),), sadis_pairs=(("ጥ", "ስ"),))
 
 
 # --- rule file loading ------------------------------------------------------
@@ -670,7 +697,7 @@ def _canonical_pair(word, wy, tables):
     config = EncoderConfig(wy_as_vowels=wy, profile=None, glyph_pairs=(),
                            max_encodings=1, tables=tables)
     return (encode(word, config).canonical,
-            remove_vowels(simplify(word, tables), config, tables))
+            remove_vowels(simplify(word, tables), config))
 
 
 @pytest.mark.parametrize("wy", [False, True])

@@ -215,24 +215,24 @@ def test_data_dir_env_override(monkeypatch, tmp_path):
 
 def test_bundled_data_is_resolved_once(monkeypatch):
     monkeypatch.delenv("AMHARIC_METAPHONE_DATA", raising=False)
-    for cached in (ethiopic._resolve_data_dir, ethiopic._tables_in,
-                   encoder._config_in):
+    for cached in (ethiopic._tables_in, encoder._config_in):
         cached.cache_clear()
     calls = []
-    files = ethiopic.resources.files
+    read_text = ethiopic._read_text
 
-    def counting_files(package):
-        calls.append(package)
-        return files(package)
+    def counting_read_text(path, kind):
+        calls.append(path)
+        return read_text(path, kind)
 
-    monkeypatch.setattr(ethiopic.resources, "files", counting_files)
+    monkeypatch.setattr(ethiopic, "_read_text", counting_read_text)
     words = ["ላም", "ወንበር", "ዓለምፀሐይ", "ጧት", "ቋንቋ"] * 20
     for word in words:
         encode(word)
     index = build_index(Lexicon(words=frozenset(words)))
     for word in words[:50]:
         suggest(word, index)
-    assert len(calls) <= 1
+    assert len(calls) <= 3
+    assert len(set(calls)) == len(calls)
 
 
 def test_defaults_follow_the_data_dir_override(monkeypatch, tmp_path):
