@@ -16,8 +16,9 @@ vowel.
 
 An EncoderConfig decides a key set: it holds the script tables, the
 glyph pairs and the mistrike profile, and its fingerprint digests all
-of them. Each takes only declared facts and derives the rest, so two
-configs with one fingerprint key every word alike. encode() takes the
+of them. Each takes only declared facts, checks them by the rules its
+data file obeys, and derives the rest, so two configs with one
+fingerprint key every word alike. encode() takes the
 canonical key from the per-scalar maps compiled into its tables
 (ScriptTables.initial_keys and later_keys), one translate per word.
 simplify() and remove_vowels() spell the two steps out character by
@@ -25,7 +26,8 @@ character; they are the readable reference the compiled maps are
 tested against.
 
 Glyph sites come from two partner maps a config builds once from its
-glyph pairs, one for the first key position and one for the rest. One
+glyph pairs, one for the first key position and one for the rest; the
+pairs share no character, so a character has one partner at most. One
 lazy walk, _unique_keys(), yields each new key with its tier in staging
 order and stops at max_encodings. encode() and suggest() read it to the
 end; matches() reads two words' walks in turn, one key each, and stops
@@ -35,8 +37,9 @@ A key set depends only on the canonical key and the config, so encode()
 walks each consonant skeleton once per config: it keeps the EncodingSet
 of every canonical key it has seen in a memo on the config, and every
 word with that skeleton gets the same (frozen) set. The memo holds at
-most _KEY_SET_CACHE sets and is emptied when full. suggest() and
-matches() walk without it.
+most _KEY_SET_CACHE sets, of canonical keys no longer than
+_MEMO_KEY_SCALARS, and is emptied when full. suggest() and matches()
+walk without it.
 """
 
 from __future__ import annotations
@@ -86,6 +89,10 @@ _WY_DELETE = {ord(_WAW): None, ord(_YOD): None}
 
 # Entries in a config's memo of encode() results; emptied when full.
 _KEY_SET_CACHE = 4096
+# Longest canonical key, in scalars, whose result the memo keeps, so the
+# memo's size is bounded in scalars too. Words in running text are far
+# shorter; a longer key is walked on every call.
+_MEMO_KEY_SCALARS = 32
 
 
 class Tier(IntEnum):
@@ -140,10 +147,11 @@ class MistrikeProfile:
     """Shifted/plain consonant pairs of an input method.
 
     pairs holds (shifted, plain) family heads as written (first-order
-    forms); ValueError if one is not. sadis_pairs is derived from it:
-    the same mapping in key alphabet. The downgrade runs in the
-    shifted-to-plain direction only: typing the shifted form requires
-    deliberate effort, mistyping it does not.
+    forms), and no family is shifted in two pairs; otherwise ValueError
+    with the loader's text. sadis_pairs is derived from it: the same
+    mapping in key alphabet. The downgrade runs in the shifted-to-plain
+    direction only: typing the shifted form requires deliberate effort,
+    mistyping it does not.
     """
 
     pairs: tuple[tuple[str, str], ...]
@@ -151,10 +159,10 @@ class MistrikeProfile:
     _key_table: dict[int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        shifted: set[str] = set()
+        for pair in self.pairs:
+            _add_mistrike_pair(pair, shifted)
         sadis_of = ethiopic._SADIS_FORM
-        for family in (f for pair in self.pairs for f in pair):
-            if family not in sadis_of:
-                raise ValueError(f"{family!r} is not a first-order family form")
         sadis_pairs = tuple((sadis_of[a], sadis_of[b]) for a, b in self.pairs)
         object.__setattr__(self, "sadis_pairs", sadis_pairs)
         object.__setattr__(self, "_key_table", {ord(a): b for a, b in sadis_pairs})
@@ -180,27 +188,54 @@ class GlyphPair:
         return None
 
 
+# The rules a rule file's records obey. Each raises ValueError with the
+# text its loader reports; the loader adds the file and line, and
+# MistrikeProfile and EncoderConfig run the same checks over their fields.
+
+def _add_mistrike_pair(pair: tuple[str, str], shifted: set[str]) -> None:
+    """Check a (shifted, plain) pair against the families shifted so far.
+
+    Both must be first-order family forms, and the shifted family must
+    be new; it is then added to shifted.
+    """
+    for family in pair:
+        ethiopic._family(family)
+    if pair[0] in shifted:
+        raise ValueError(f"family {pair[0]!r} shifted in more than one pair")
+    shifted.add(pair[0])
+
+
+def _add_glyph_pair(pair: GlyphPair, used: set[str]) -> None:
+    """Check a glyph pair against the characters used so far.
+
+    Both characters must be sadis forms that no earlier pair holds;
+    they are then added to used.
+    """
+    for ch in (pair.a, pair.b):
+        if ch not in ethiopic._SADIS_FORM.values():
+            raise ValueError(f"{ch!r} is not a sadis-order key character")
+        if ch in used:
+            raise ValueError(f"{ch!r} appears in more than one pair")
+        used.add(ch)
+
+
 def load_mistrike_profile(path: Path | str) -> MistrikeProfile:
     """Load a [mistrike-pairs] file of (shifted, plain) family pairs."""
     path = Path(path)
     pairs: list[tuple[str, str]] = []
-    seen_shifted: set[str] = set()
-    for lineno, section, tokens in ethiopic._records(path):
-        if section != "mistrike-pairs":
-            raise LoadError(f"unknown section {section!r}", path=path, line=lineno)
-        if len(tokens) != 2:
-            raise LoadError("expected: <shifted family> <plain family>",
-                            path=path, line=lineno)
-        shifted, plain = tokens
-        for family in (shifted, plain):
-            if family not in ethiopic._SADIS_FORM:
-                raise LoadError(f"{family!r} is not a first-order family form",
+    shifted: set[str] = set()
+    try:
+        for lineno, section, tokens in ethiopic._records(path):
+            if section != "mistrike-pairs":
+                raise LoadError(f"unknown section {section!r}", path=path, line=lineno)
+            if len(tokens) != 2:
+                raise LoadError("expected: <shifted family> <plain family>",
                                 path=path, line=lineno)
-        if shifted in seen_shifted:
-            raise LoadError(f"family {shifted!r} shifted in more than one pair",
-                            path=path, line=lineno)
-        seen_shifted.add(shifted)
-        pairs.append((shifted, plain))
+            pair = (tokens[0], tokens[1])
+            _add_mistrike_pair(pair, shifted)
+            pairs.append(pair)
+    except ValueError as exc:
+        raise LoadError(str(exc), path=path, line=lineno) from None
     return MistrikeProfile(pairs=tuple(pairs))
 
 
@@ -209,22 +244,18 @@ def load_glyph_pairs(path: Path | str) -> tuple[GlyphPair, ...]:
     path = Path(path)
     pairs: list[GlyphPair] = []
     used: set[str] = set()
-    for lineno, section, tokens in ethiopic._records(path):
-        if section != "glyph-pairs":
-            raise LoadError(f"unknown section {section!r}", path=path, line=lineno)
-        if len(tokens) != 3 or tokens[2] not in ("initial", "any"):
-            raise LoadError("expected: <char> <char> initial|any",
-                            path=path, line=lineno)
-        a, b, position = tokens
-        for ch in (a, b):
-            if ch not in ethiopic._SADIS_FORM.values():
-                raise LoadError(f"{ch!r} is not a sadis-order key character",
+    try:
+        for lineno, section, tokens in ethiopic._records(path):
+            if section != "glyph-pairs":
+                raise LoadError(f"unknown section {section!r}", path=path, line=lineno)
+            if len(tokens) != 3 or tokens[2] not in ("initial", "any"):
+                raise LoadError("expected: <char> <char> initial|any",
                                 path=path, line=lineno)
-            if ch in used:
-                raise LoadError(f"{ch!r} appears in more than one pair",
-                                path=path, line=lineno)
-            used.add(ch)
-        pairs.append(GlyphPair(a=a, b=b, anywhere=position == "any"))
+            pair = GlyphPair(a=tokens[0], b=tokens[1], anywhere=tokens[2] == "any")
+            _add_glyph_pair(pair, used)
+            pairs.append(pair)
+    except ValueError as exc:
+        raise LoadError(str(exc), path=path, line=lineno) from None
     return tuple(pairs)
 
 
@@ -246,9 +277,10 @@ class EncoderConfig:
     from keys. profile=None disables input-method alternates entirely,
     the right call when the writer's keyboard layout is unknown.
     max_encodings caps the set size; the canonical key is never evicted.
-    tables build the canonical key. Defaults are read from the data
-    directory when the config is built and stay with it; tables compare
-    by identity.
+    glyph_pairs hold sadis forms only and share no character; otherwise
+    ValueError with the loader's text. tables build the canonical key.
+    Defaults are read from the data directory when the config is built
+    and stay with it; tables compare by identity.
     """
 
     wy_as_vowels: bool = False
@@ -260,29 +292,32 @@ class EncoderConfig:
     def __post_init__(self):
         if self.max_encodings < 1:
             raise ValueError("max_encodings must be at least 1")
+        used: set[str] = set()
+        for pair in self.glyph_pairs:
+            _add_glyph_pair(pair, used)
 
     @cached_property
     def _glyph_partners(self) -> tuple[dict[str, str], dict[str, str]]:
         """Key character -> glyph partner at position 0, and after it.
 
-        Where a character is in more than one pair, the first pair that
-        applies at the position wins.
+        The pairs share no character, so each character has one partner
+        at most.
         """
         initial: dict[str, str] = {}
         later: dict[str, str] = {}
         for pair in self.glyph_pairs:
             for ch, partner in ((pair.a, pair.b), (pair.b, pair.a)):
-                initial.setdefault(ch, partner)
+                initial[ch] = partner
                 if pair.anywhere:
-                    later.setdefault(ch, partner)
+                    later[ch] = partner
         return initial, later
 
     @cached_property
     def _key_sets(self) -> dict[str, EncodingSet]:
         """encode()'s memo: canonical key -> its EncodingSet.
 
-        It holds at most _KEY_SET_CACHE sets, each no larger than one
-        encode() result, and is emptied when full. Like the other
+        It holds at most _KEY_SET_CACHE sets, each of a key no longer
+        than _MEMO_KEY_SCALARS, and is emptied when full. Like the other
         cached properties it stays out of equality, hashing, repr and
         the fingerprint, and it refers to nothing that refers back to
         the config.
@@ -436,21 +471,24 @@ def encode(word: str, config: EncoderConfig | None = None) -> EncodingSet:
 
     The word is checked and reduced to its canonical key first, so bad
     words raise before the memo is read. Words with the same canonical
-    key under one config get the same EncodingSet instance: the config
-    keeps up to _KEY_SET_CACHE of them and empties the memo when full.
+    key of at most _MEMO_KEY_SCALARS scalars under one config get the
+    same EncodingSet instance: the config keeps up to _KEY_SET_CACHE of
+    them and empties the memo when full.
     """
     config = config or _default_config()
     canonical = _canonical(word, config)
     memo = config._key_sets
     found = memo.get(canonical)
     if found is None:
-        if len(memo) >= _KEY_SET_CACHE:
-            memo.clear()
         # tuple() over a list, not a generator: a sized input is not
         # over-allocated, which keeps `encode --stdin` peak RSS flat.
-        found = memo[canonical] = EncodingSet(encodings=tuple([
+        found = EncodingSet(encodings=tuple([
             Encoding(key=k, tier=t) for k, t in _unique_keys(canonical, config)
         ]))
+        if len(canonical) <= _MEMO_KEY_SCALARS:
+            if len(memo) >= _KEY_SET_CACHE:
+                memo.clear()
+            memo[canonical] = found
     return found
 
 

@@ -25,7 +25,8 @@ and numerals.
 
 The regular rows are fixed and laid out once. A ScriptTables takes only
 what a table file declares (homophone classes, vowel carriers and the
-standalone ʷ-series syllables) and derives everything else from it.
+standalone ʷ-series syllables), checks it by the file's rules and
+derives everything else from it.
 """
 
 from __future__ import annotations
@@ -127,7 +128,9 @@ class ScriptTables:
     family to its homophone-class head (families absent from the
     mapping are their own head), vowel_carriers holds the families that
     carry bare vowels, and labiovelar_map places each standalone
-    ʷ-series syllable at its (base family, order) slot.
+    ʷ-series syllable at its (base family, order) slot. They pass the
+    checks a table file's records pass, or the constructor raises
+    ValueError with the loader's text.
 
     The remaining fields are derived from these. by_char and by_family
     hold the full codepoint layout: the fixed regular rows plus the
@@ -149,8 +152,20 @@ class ScriptTables:
     supported: frozenset[str] = field(init=False, repr=False)
 
     def __post_init__(self):
-        by_char = {**_BASE_BY_CHAR, **self.labiovelar_map}
-        by_family = {slot: ch for ch, slot in by_char.items()}
+        checked: dict[str, str] = {}
+        for member, head in self.representative.items():
+            _add_member(member, head, checked)
+        for head in checked.values():
+            if head in checked:
+                raise ValueError(
+                    f"class head {head!r} is itself a member of another class"
+                )
+        for family in sorted(self.vowel_carriers):
+            _family(family)
+        by_char = dict(_BASE_BY_CHAR)
+        by_family = dict(_BASE_BY_FAMILY)
+        for ch, slot in self.labiovelar_map.items():
+            _place(ch, slot, by_char, by_family)
         initial: dict[int, str] = {}
         later: dict[int, str] = {}
         for ch, (family, order) in by_char.items():
@@ -193,10 +208,56 @@ def _base_layout() -> dict[str, tuple[str, int]]:
 # forms sit here, and a labiovelar_map entry (orders 11-16) can never
 # displace one, so rule files are checked against this layout alone.
 _BASE_BY_CHAR = _base_layout()
+_BASE_BY_FAMILY = {slot: ch for ch, slot in _BASE_BY_CHAR.items()}
 # Each family (its first-order form) -> its sadis form.
 _SADIS_FORM = {
     family: ch for ch, (family, order) in _BASE_BY_CHAR.items() if order == SADIS
 }
+
+
+# The rules a table file's records obey. Each raises ValueError with the
+# text a loader reports; load_script_tables adds the file and line, and
+# ScriptTables runs the same checks over its fields.
+
+def _family(token: str) -> str:
+    """The token, if it is a family's first-order form; else ValueError."""
+    if token not in _SADIS_FORM:
+        raise ValueError(f"{token!r} is not a first-order family form")
+    return token
+
+
+def _add_member(member: str, head: str, representative: dict[str, str]) -> None:
+    """Record member in head's homophone class; ValueError if it cannot be.
+
+    Both must be families, and a family joins at most one class, never
+    its own.
+    """
+    _family(head)
+    _family(member)
+    if member in representative or member == head:
+        raise ValueError(f"family {member!r} listed twice")
+    representative[member] = head
+
+
+def _place(
+    ch: str,
+    slot: tuple[str, int],
+    by_char: dict[str, tuple[str, int]],
+    by_family: dict[tuple[str, int], str],
+) -> None:
+    """Add a ʷ-series syllable at slot (base family, order) to a layout.
+
+    ValueError unless the base is a family, the order is a ʷ-series
+    order, and neither ch nor the slot is in the layout yet.
+    """
+    base, order = slot
+    _family(base)
+    if order not in SERIES_ORDERS:
+        raise ValueError(f"order {order} is not a ʷ-series order")
+    if ch in by_char or slot in by_family:
+        raise ValueError(f"{ch!r} collides with an existing slot")
+    by_char[ch] = slot
+    by_family[slot] = ch
 
 
 def data_dir() -> Path:
@@ -246,62 +307,45 @@ def load_script_tables(path: Path | str) -> ScriptTables:
     representative: dict[str, str] = {}
     carriers: set[str] = set()
     labiovelar: dict[str, tuple[str, int]] = {}
-    slots = set(_BASE_BY_CHAR.values())
-
-    def _family(token: str, lineno: int) -> str:
-        if token not in _SADIS_FORM:
-            raise LoadError(
-                f"{token!r} is not a first-order family form", path=path, line=lineno
-            )
-        return token
-
-    for lineno, section, tokens in _records(path):
-        if section == "homophone-classes":
-            if len(tokens) < 2:
-                raise LoadError("class needs a head and at least one member",
-                                path=path, line=lineno)
-            head = _family(tokens[0], lineno)
-            for member in tokens[1:]:
-                member = _family(member, lineno)
-                if member in representative or member == head:
-                    raise LoadError(f"family {member!r} listed twice",
+    by_char, by_family = dict(_BASE_BY_CHAR), dict(_BASE_BY_FAMILY)
+    try:
+        for lineno, section, tokens in _records(path):
+            if section == "homophone-classes":
+                if len(tokens) < 2:
+                    raise LoadError("class needs a head and at least one member",
                                     path=path, line=lineno)
-                representative[member] = head
-        elif section == "labiovelar-map":
-            if len(tokens) != 3:
-                raise LoadError("expected: <char> <base family> <order>",
-                                path=path, line=lineno)
-            ch, base, order_token = tokens
-            base = _family(base, lineno)
-            try:
-                order = int(order_token)
-            except ValueError:
-                raise LoadError(f"bad order {order_token!r}", path=path, line=lineno)
-            if order not in SERIES_ORDERS:
-                raise LoadError(f"order {order} is not a ʷ-series order",
-                                path=path, line=lineno)
-            slot = (base, order)
-            if ch in _BASE_BY_CHAR or ch in labiovelar or slot in slots:
-                raise LoadError(f"{ch!r} collides with an existing slot",
-                                path=path, line=lineno)
-            labiovelar[ch] = slot
-            slots.add(slot)
-        elif section == "vowel-carriers":
-            if len(tokens) != 1:
-                raise LoadError("expected one family per record", path=path, line=lineno)
-            carriers.add(_family(tokens[0], lineno))
-        else:
-            raise LoadError(f"unknown section {section!r}", path=path, line=lineno)
-
-    for member, head in representative.items():
-        if head in representative:
-            raise LoadError(f"class head {head!r} is itself a member of another class",
-                            path=path)
-    return ScriptTables(
-        representative=representative,
-        vowel_carriers=frozenset(carriers),
-        labiovelar_map=labiovelar,
-    )
+                for member in tokens[1:]:
+                    _add_member(member, tokens[0], representative)
+            elif section == "labiovelar-map":
+                if len(tokens) != 3:
+                    raise LoadError("expected: <char> <base family> <order>",
+                                    path=path, line=lineno)
+                ch, base, order_token = tokens
+                _family(base)  # before the order, as the record reads
+                try:
+                    order = int(order_token)
+                except ValueError:
+                    raise LoadError(f"bad order {order_token!r}", path=path, line=lineno)
+                _place(ch, (base, order), by_char, by_family)
+                labiovelar[ch] = (base, order)
+            elif section == "vowel-carriers":
+                if len(tokens) != 1:
+                    raise LoadError("expected one family per record",
+                                    path=path, line=lineno)
+                carriers.add(_family(tokens[0]))
+            else:
+                raise LoadError(f"unknown section {section!r}", path=path, line=lineno)
+    except ValueError as exc:
+        raise LoadError(str(exc), path=path, line=lineno) from None
+    # Only the class-head check is left to fail here, and it has no line.
+    try:
+        return ScriptTables(
+            representative=representative,
+            vowel_carriers=frozenset(carriers),
+            labiovelar_map=labiovelar,
+        )
+    except ValueError as exc:
+        raise LoadError(str(exc), path=path) from None
 
 
 @lru_cache(maxsize=None)

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _INDEX_MAGIC = "# amharic-metaphone-index v1"
+_NO_FINGERPRINT = "expected: # fingerprint <hex>"
 # The tier tokens dump_index writes. int() would also take "٣", " 1" or "+0".
 _TIERS = {str(int(tier)): tier for tier in Tier}
 
@@ -112,10 +113,20 @@ class Suggestion:
 
 @dataclass
 class EncodingIndex:
-    """Inverted index: key -> {word: best tier that produced the key}."""
+    """Inverted index: key -> {word: best tier that produced the key}.
+
+    fingerprint is the fingerprint of the config that built the keys:
+    one token without whitespace, as a dump's second line holds it, or
+    ValueError with load_index's text. suggest() compares it with the
+    query's config.
+    """
 
     mapping: dict[str, dict[str, Tier]] = field(default_factory=dict)
-    fingerprint: str = ""
+    fingerprint: str = field(default="", kw_only=True)
+
+    def __post_init__(self):
+        if self.fingerprint.split() != [self.fingerprint]:
+            raise ValueError(_NO_FINGERPRINT)
 
     def __len__(self) -> int:
         return len(self.mapping)
@@ -180,7 +191,7 @@ def suggest(
     if limit < 1:
         raise ValueError("limit must be at least 1")
     config = config or _default_config()
-    if index.fingerprint and index.fingerprint != config.fingerprint:
+    if index.fingerprint != config.fingerprint:
         raise ConfigMismatchError(
             "index was built under a different encoder config; rebuild it"
         )
@@ -191,6 +202,10 @@ def suggest(
             current = best.get(word)
             if current is None or tier < current:
                 best[word] = tier
+    if not best:
+        # Scoring no word would still build the query's bit masks, in
+        # time quadratic in its length.
+        return []
     # Words are unique, so plain tuples sort in the ranking order.
     ranked = sorted(zip(best.values(), _distances(query, best), best))
     return [Suggestion(word, tier, dist) for tier, dist, word in ranked[:limit]]
@@ -240,7 +255,7 @@ def load_index(
     # query's config, so a missing or empty one is a malformed file.
     fields = lines[1].split() if len(lines) > 1 else []
     if len(fields) != 3 or fields[:2] != ["#", "fingerprint"]:
-        raise LoadError("expected: # fingerprint <hex>", path=path, line=2)
+        raise LoadError(_NO_FINGERPRINT, path=path, line=2)
     index = EncodingIndex(fingerprint=fields[2])
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip() or line.startswith("#"):

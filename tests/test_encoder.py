@@ -384,6 +384,27 @@ def test_load_glyph_pairs_happy_path(tmp_path):
     assert pairs == (GlyphPair(a="ፕ", b="ኝ", anywhere=False),)
 
 
+@pytest.mark.parametrize("load, text, build", [
+    (load_mistrike_profile, "[mistrike-pairs]\nጠ ተ\nጠ ደ\n",
+     lambda: MistrikeProfile(pairs=(("ጠ", "ተ"), ("ጠ", "ደ")))),
+    (load_glyph_pairs, "[glyph-pairs]\nፕ ኝ any\nኝ ም any\n",
+     lambda: EncoderConfig(glyph_pairs=(GlyphPair(a="ፕ", b="ኝ", anywhere=True),
+                                        GlyphPair(a="ኝ", b="ም", anywhere=True)))),
+    (load_glyph_pairs, "[glyph-pairs]\nፕ x initial\n",
+     lambda: EncoderConfig(glyph_pairs=(GlyphPair(a="ፕ", b="x", anywhere=False),))),
+    (load_glyph_pairs, "[glyph-pairs]\nፕ ፕ any\n",
+     lambda: EncoderConfig(glyph_pairs=(GlyphPair(a="ፕ", b="ፕ", anywhere=True),))),
+])
+def test_hand_built_rules_pass_the_file_checks(tmp_path, load, text, build):
+    # A profile or glyph table the loader refuses cannot be built by
+    # hand either, and the constructor gives the loader's text.
+    with pytest.raises(LoadError) as loaded:
+        load(_write(tmp_path, "rules.txt", text))
+    with pytest.raises(ValueError) as built:
+        build()
+    assert str(loaded.value).endswith(f": {built.value}")
+
+
 def test_load_glyph_pairs_rejects_bad_records(tmp_path):
     with pytest.raises(LoadError):
         load_glyph_pairs(_write(tmp_path, "a.txt", "[glyph-pairs]\nፕ ኝ\n"))
@@ -510,8 +531,6 @@ staging_configs = st.builds(
         (GlyphPair(a="ም", b="ን", anywhere=True), GlyphPair(a="ፕ", b="ኝ", anywhere=True)),
         # ን in a position-0 pair: nasal alternates keep no shared sites.
         (GlyphPair(a="ን", b="ኝ", anywhere=False),),
-        # ኝ in two pairs (the loader rejects this): the first pair wins.
-        (GlyphPair(a="ፕ", b="ኝ", anywhere=True), GlyphPair(a="ኝ", b="ም", anywhere=True)),
     ]),
     max_encodings=st.sampled_from([1, 2, 5, 16, 10_000]),
 )
@@ -610,6 +629,22 @@ def test_encode_memo_is_bounded():
         assert len(memo) <= bound
     assert len(memo) == len(words) - bound
     assert keys_with_tiers(words[0], config) == [(words[0], 0)]
+
+
+def test_encode_memo_keeps_only_short_keys():
+    config = EncoderConfig()
+    bound = encoder._MEMO_KEY_SCALARS
+    letters = "ልምርስሽቅብትችንክዝድጅግጥጭ"
+    for i in range(500):
+        word = "".join(letters[(i * 7 + j * j) % len(letters)]
+                       for j in range(bound + 1 + i))
+        keys = encode(word, config)
+        assert encode(word, config) == keys
+        assert all(len(key) <= bound for key in config._key_sets)
+    # A key of the bound's length is kept: its words share one set.
+    assert encode("ለ" * bound, config) is encode("ሎ" * bound, config)
+    assert encode("ሰላም", config) is encode("ሠላም", config)
+    assert len(config._key_sets) == 2
 
 
 def test_encode_rejects_bad_words_before_the_memo():

@@ -28,6 +28,7 @@ from amharic_metaphone.ethiopic import (
     compose,
     data_dir,
     decompose,
+    ScriptTables,
     default_tables,
     load_script_tables,
 )
@@ -305,6 +306,30 @@ def test_load_rejects_bad_labiovelar_records(tmp_path):
     with pytest.raises(LoadError):
         # two chars claiming one slot
         _load(tmp_path, "[labiovelar-map]\nቋ ቀ 14\nቌ ቀ 14\n")
+
+
+@pytest.mark.parametrize("text, declared", [
+    # Keyed ለማ as ቅም, not ልም, when the constructor took it.
+    ("[labiovelar-map]\nለ ቀ 11\n", {"labiovelar_map": {"ለ": ("ቀ", 11)}}),
+    ("[labiovelar-map]\nቋ ቀ 14\nቌ ቀ 14\n",
+     {"labiovelar_map": {"ቋ": ("ቀ", 14), "ቌ": ("ቀ", 14)}}),
+    ("[labiovelar-map]\nቈ ቀ 12\n", {"labiovelar_map": {"ቈ": ("ቀ", 12)}}),
+    ("[labiovelar-map]\nቈ ቈ 11\n", {"labiovelar_map": {"ቈ": ("ቈ", 11)}}),
+    ("[homophone-classes]\nሀ ሐ\nሰ ሀ\n", {"representative": {"ሐ": "ሀ", "ሀ": "ሰ"}}),
+    ("[homophone-classes]\nሀ ሀ\n", {"representative": {"ሀ": "ሀ"}}),
+    ("[homophone-classes]\nሀ ህ\n", {"representative": {"ህ": "ሀ"}}),
+    ("[vowel-carriers]\nእ\n", {"vowel_carriers": frozenset("እ")}),
+])
+def test_hand_built_tables_pass_the_file_checks(tmp_path, text, declared):
+    # Tables the loader refuses cannot be built by hand either, and the
+    # constructor gives the loader's text.
+    with pytest.raises(LoadError) as loaded:
+        _load(tmp_path, text)
+    fields = {"representative": {}, "vowel_carriers": frozenset("አ"),
+              "labiovelar_map": {}, **declared}
+    with pytest.raises(ValueError) as built:
+        ScriptTables(**fields)
+    assert str(loaded.value).endswith(f": {built.value}")
 
 
 def test_load_rejects_unknown_section(tmp_path):

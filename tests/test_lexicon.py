@@ -1,5 +1,7 @@
 """Tests for lexicon loading, the inverted index, and suggestions."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,7 +12,7 @@ from amharic_metaphone.errors import (
     InvalidInputError,
     LoadError,
 )
-from amharic_metaphone.ethiopic import default_tables, load_script_tables
+from amharic_metaphone.ethiopic import data_dir, default_tables, load_script_tables
 from amharic_metaphone.lexicon import (
     EncodingIndex,
     Lexicon,
@@ -114,7 +116,7 @@ def test_build_index_names_the_word_on_bad_input():
 
 
 def test_index_add_keeps_the_best_tier():
-    index = EncodingIndex()
+    index = EncodingIndex(fingerprint="0123456789abcdef")
     index.add("ልም", "ላም", Tier.GLYPH)
     index.add("ልም", "ላም", Tier.CANONICAL)
     index.add("ልም", "ላም", Tier.INPUT_METHOD)
@@ -165,12 +167,37 @@ def test_suggest_rejects_mismatched_config():
     assert suggest("ሆኖአል", index, WY)[0].word == "ሆኗል"
 
 
-def test_suggest_skips_check_for_handmade_index():
-    index = EncodingIndex()
-    index.add("ልም", "ላም", Tier.CANONICAL)
+def test_index_requires_a_fingerprint(tmp_path):
+    # What a dump's second line cannot hold, an index cannot either.
+    path = tmp_path / "index.txt"
+    path.write_text("# amharic-metaphone-index v1\n# fingerprint \n", encoding="utf-8")
+    with pytest.raises(LoadError) as loaded:
+        load_index(path)
+    for fingerprint in ({}, {"fingerprint": ""}, {"fingerprint": "01 23"}):
+        with pytest.raises(ValueError) as built:
+            EncodingIndex(**fingerprint)
+        assert str(loaded.value) == f"{path}:2: {built.value}"
+
+
+def test_suggest_checks_a_hand_built_index(tmp_path):
+    index = EncodingIndex({"ልም": {"ላም": Tier.CANONICAL}},
+                          fingerprint=EncoderConfig().fingerprint)
     (hit,) = suggest("ላም", index)
-    assert hit.word == "ላም"
-    assert hit.distance == 0
+    assert (hit.word, hit.distance) == ("ላም", 0)
+    with pytest.raises(ConfigMismatchError):
+        suggest("ላም", index, WY)
+    path = tmp_path / "index.txt"
+    dump_index(index, path)
+    assert load_index(path) == index
+
+
+def test_suggest_returns_at_once_when_no_word_shares_a_key():
+    # The query's only key, ል, is no bundled word's key: building the
+    # query's bit masks would take seconds at this length.
+    index = build_index(load_lexicon(data_dir() / "lexicon.txt"))
+    start = time.perf_counter()
+    assert suggest("ለ" + "አ" * 400_000, index) == []
+    assert time.perf_counter() - start < 1.0
 
 
 # --- persistence ------------------------------------------------------------
