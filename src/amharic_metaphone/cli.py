@@ -96,6 +96,10 @@ def _stdin_words() -> Iterator[str]:
 def _cmd_encode(args: argparse.Namespace) -> int:
     config = _config(args)
     words = _stdin_words() if args.stdin else [_nfc(w) for w in args.words]
+    # Each output line leaves in one write, newline included (print()
+    # makes two). Batching lines into fewer writes would change what
+    # perfbench's stream-encode times, since it stamps each line end.
+    write = sys.stdout.write
     for word in words:
         try:
             encodings = encode(word, config)
@@ -106,9 +110,9 @@ def _cmd_encode(args: argparse.Namespace) -> int:
             # them through with a '-' tier flag instead of failing.
             if args.format == "jsonl":
                 record = {"word": word, "ethiopic": False, "encodings": []}
-                print(json.dumps(record, ensure_ascii=False))
+                write(json.dumps(record, ensure_ascii=False) + "\n")
             else:
-                print(f"{word}\t-\t{word}")
+                write(f"{word}\t-\t{word}\n")
             continue
         if args.format == "jsonl":
             record = {
@@ -118,10 +122,10 @@ def _cmd_encode(args: argparse.Namespace) -> int:
                     {"key": e.key, "tier": int(e.tier)} for e in encodings
                 ],
             }
-            print(json.dumps(record, ensure_ascii=False))
+            write(json.dumps(record, ensure_ascii=False) + "\n")
         else:
             for e in encodings:
-                print(f"{word}\t{int(e.tier)}\t{e.key}")
+                write(f"{word}\t{int(e.tier)}\t{e.key}\n")
     return 0
 
 

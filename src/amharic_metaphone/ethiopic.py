@@ -32,6 +32,7 @@ derives everything else from it.
 from __future__ import annotations
 
 import os
+import unicodedata
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -248,12 +249,15 @@ def _place(
     """Add a ʷ-series syllable at slot (base family, order) to a layout.
 
     ValueError unless the base is a family, the order is a ʷ-series
-    order, and neither ch nor the slot is in the layout yet.
+    order, ch is one scalar named ETHIOPIC SYLLABLE, and neither ch nor
+    the slot is in the layout yet.
     """
     base, order = slot
     _family(base)
     if order not in SERIES_ORDERS:
         raise ValueError(f"order {order} is not a ʷ-series order")
+    if len(ch) != 1 or not unicodedata.name(ch, "").startswith("ETHIOPIC SYLLABLE"):
+        raise ValueError(f"{ch!r} is not an Ethiopic syllable")
     if ch in by_char or slot in by_family:
         raise ValueError(f"{ch!r} collides with an existing slot")
     by_char[ch] = slot

@@ -153,19 +153,71 @@ _STDIN_GOLDEN = (
 )
 
 
+_STDIN_GOLDEN_JSONL = (
+    '{"word": "ሰላም", "ethiopic": true, "encodings": [{"key": "ስልም", "tier": 0}]}\n'
+    '{"word": "ዓለም", "ethiopic": true, "encodings": [{"key": "አልም", "tier": 0}]}\n'
+    '{"word": "Abebe", "ethiopic": false, "encodings": []}\n'
+    '{"word": "በ፲፱፻፹", "ethiopic": false, "encodings": []}\n'
+    '{"word": "ዓ.ም", "ethiopic": false, "encodings": []}\n'
+    '{"word": "ጤና", "ethiopic": true, "encodings": [{"key": "ጥን", "tier": 0}, '
+    '{"key": "ትን", "tier": 3}]}\n'
+    '{"word": "ይስጥልኝ", "ethiopic": true, "encodings": [{"key": "ይስጥልኝ", "tier": 0}, '
+    '{"key": "ይስጥልፕ", "tier": 2}, {"key": "ይስትልን", "tier": 3}, '
+    '{"key": "ይስትልፕ", "tier": 3}]}\n'
+    '{"word": "Marta", "ethiopic": false, "encodings": []}\n'
+    '{"word": "፪", "ethiopic": false, "encodings": []}\n'
+    '{"word": "ምንባብ", "ethiopic": true, "encodings": [{"key": "ምንብብ", "tier": 0}, '
+    '{"key": "ምምብብ", "tier": 1}]}\n'
+    '{"word": "ሠላም", "ethiopic": true, "encodings": [{"key": "ስልም", "tier": 0}]}\n'
+)
+# (extra encode flags, expected stdout) for _STDIN_TEXT.
+_STDIN_GOLDENS = [((), _STDIN_GOLDEN), (("--format", "jsonl"), _STDIN_GOLDEN_JSONL)]
+
+
 def test_encode_stdin_golden_output(capsys, monkeypatch):
-    code, out, err = run(
-        capsys, "encode", "--stdin", stdin=_STDIN_TEXT, monkeypatch=monkeypatch
-    )
-    assert (code, out, err) == (0, _STDIN_GOLDEN, "")
-    result = subprocess.run(
-        [sys.executable, "-m", "amharic_metaphone.cli", "encode", "--stdin"],
-        input=_STDIN_TEXT.encode("utf-8"),
-        capture_output=True,
-        env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
-    )
-    assert result.returncode == 0
-    assert result.stdout == _STDIN_GOLDEN.encode("utf-8")
+    for flags, golden in _STDIN_GOLDENS:
+        code, out, err = run(
+            capsys, "encode", "--stdin", *flags, stdin=_STDIN_TEXT,
+            monkeypatch=monkeypatch,
+        )
+        assert (code, out, err) == (0, golden, "")
+        result = subprocess.run(
+            [sys.executable, "-m", "amharic_metaphone.cli", "encode", "--stdin", *flags],
+            input=_STDIN_TEXT.encode("utf-8"),
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+        )
+        assert result.returncode == 0
+        assert result.stdout == golden.encode("utf-8")
+
+
+class _WriteLog(io.TextIOBase):
+    """A stdout that keeps the text of each write call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.calls.append(text)
+        return len(text)
+
+
+def test_encode_stdin_writes_each_line_in_one_call(monkeypatch):
+    # perfbench's stream-encode times each token by the writes that end
+    # its output lines (ROADMAP item 3). Batching several lines into one
+    # write changes what that benchmark measures, so it has to be a
+    # deliberate change made together with the benchmark.
+    for flags, golden in _STDIN_GOLDENS:
+        out = _WriteLog()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(_STDIN_TEXT))
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["encode", "--stdin", *flags]) == 0
+        assert [c for c in out.calls
+                if not c.endswith("\n") or c.count("\n") != 1] == []
+        assert "".join(out.calls) == golden
 
 
 def test_encode_profile_none_drops_the_input_method_tier(capsys):

@@ -319,6 +319,10 @@ def test_load_rejects_bad_labiovelar_records(tmp_path):
     ("[homophone-classes]\nሀ ሀ\n", {"representative": {"ሀ": "ሀ"}}),
     ("[homophone-classes]\nሀ ህ\n", {"representative": {"ህ": "ሀ"}}),
     ("[vowel-carriers]\nእ\n", {"vowel_carriers": frozenset("እ")}),
+    # Took x as a supported scalar keyed as ቅ.
+    ("[labiovelar-map]\nx ቀ 11\n", {"labiovelar_map": {"x": ("ቀ", 11)}}),
+    # Escaped as a TypeError from ord().
+    ("[labiovelar-map]\nቈቈ ቀ 11\n", {"labiovelar_map": {"ቈቈ": ("ቀ", 11)}}),
 ])
 def test_hand_built_tables_pass_the_file_checks(tmp_path, text, declared):
     # Tables the loader refuses cannot be built by hand either, and the
