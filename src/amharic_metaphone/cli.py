@@ -131,7 +131,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 def _cmd_suggest(args: argparse.Namespace) -> int:
     config = _config(args)
-    lexicon = load_lexicon(args.lexicon, config.tables)
+    lexicon = load_lexicon(args.lexicon)
     index = build_index(lexicon, config)
     query = _nfc(args.word)
     results = suggest(query, index, config, limit=args.limit)
@@ -152,7 +152,7 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
 
 def _cmd_index(args: argparse.Namespace) -> int:
     config = _config(args)
-    lexicon = load_lexicon(args.lexicon, config.tables)
+    lexicon = load_lexicon(args.lexicon)
     index = build_index(lexicon, config)
     dump_index(index, args.out)
     print(
@@ -164,10 +164,10 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config(args)
-    corpus = load_corpus(args.corpus, config.tables)
+    corpus = load_corpus(args.corpus)
     lexicon_words = None
     if args.lexicon is not None:
-        lexicon_words = load_lexicon(args.lexicon, config.tables).words
+        lexicon_words = load_lexicon(args.lexicon).words
     report = evaluate(corpus, config, lexicon_words=lexicon_words)
     if args.format == "jsonl":
         record = {

@@ -18,8 +18,9 @@ An EncoderConfig decides a key set: it holds the script tables, the
 glyph pairs and the mistrike profile, and its fingerprint digests all
 of them. Each takes only declared facts, checks them by the rules its
 data file obeys, and derives the rest, so two configs with one
-fingerprint key every word alike. encode() takes the
-canonical key from the per-scalar maps compiled into its tables
+fingerprint key every word alike. No config changes which scalars are
+supported: encode() accepts the fixed set ethiopic.SUPPORTED and takes
+the canonical key from the per-scalar maps compiled into its tables
 (ScriptTables.initial_keys and later_keys), one translate per word.
 simplify() and remove_vowels() spell the two steps out character by
 character; they are the readable reference the compiled maps are
@@ -86,6 +87,15 @@ _NASAL_TRIGGERS = frozenset({"ብ", "ፍ"})
 
 # Deletes ው and ይ: the wy_as_vowels filter, for str.translate.
 _WY_DELETE = {ord(_WAW): None, ord(_YOD): None}
+
+# The fingerprint's ʷ-series part. No config can change the series, but
+# saved index dumps store fingerprints, and the digest keeps this part so
+# that every fingerprint stays byte-identical.
+_LABIOVELAR_PART = "labiovelar=" + ",".join(
+    f"{chr(first + offset)}{family}{order}"
+    for first, family in ethiopic._SERIES_BLOCKS
+    for offset, order in ethiopic._SERIES_COLUMNS
+)
 
 # Entries in a config's memo of encode() results; emptied when full.
 _KEY_SET_CACHE = 4096
@@ -225,9 +235,7 @@ def load_mistrike_profile(path: Path | str) -> MistrikeProfile:
     pairs: list[tuple[str, str]] = []
     shifted: set[str] = set()
     try:
-        for lineno, section, tokens in ethiopic._records(path):
-            if section != "mistrike-pairs":
-                raise LoadError(f"unknown section {section!r}", path=path, line=lineno)
+        for lineno, _, tokens in ethiopic._records(path, ("mistrike-pairs",)):
             if len(tokens) != 2:
                 raise LoadError("expected: <shifted family> <plain family>",
                                 path=path, line=lineno)
@@ -245,9 +253,7 @@ def load_glyph_pairs(path: Path | str) -> tuple[GlyphPair, ...]:
     pairs: list[GlyphPair] = []
     used: set[str] = set()
     try:
-        for lineno, section, tokens in ethiopic._records(path):
-            if section != "glyph-pairs":
-                raise LoadError(f"unknown section {section!r}", path=path, line=lineno)
+        for lineno, _, tokens in ethiopic._records(path, ("glyph-pairs",)):
             if len(tokens) != 3 or tokens[2] not in ("initial", "any"):
                 raise LoadError("expected: <char> <char> initial|any",
                                 path=path, line=lineno)
@@ -352,10 +358,7 @@ class EncoderConfig:
                 m + h for m, h in sorted(tables.representative.items())
             ),
             "carriers=" + "".join(sorted(tables.vowel_carriers)),
-            "labiovelar=" + ",".join(
-                f"{ch}{base}{order}"
-                for ch, (base, order) in sorted(tables.labiovelar_map.items())
-            ),
+            _LABIOVELAR_PART,
         ]
         return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()[:16]
 
@@ -387,17 +390,15 @@ def simplify(word: str, tables: ethiopic.ScriptTables | None = None) -> str:
     tables = tables or ethiopic.default_tables()
     out: list[str] = []
     for pos, ch in enumerate(word):
-        info = ethiopic.decompose(ch, tables)
+        info = ethiopic.decompose(ch)
         if info is None:
-            raise InvalidInputError(
-                ch, pos, word, ethiopic._left_out(ch, tables)
-            )
+            raise InvalidInputError(ch, pos, word)
         family = tables.representative_of(info.family)
         if family in tables.vowel_carriers:
             out.append(_ALEF)
             continue
         try:
-            out.append(ethiopic.compose(family, info.order, tables))
+            out.append(ethiopic.compose(family, info.order))
         except InvalidOrderError:
             out.append(ch)
     return "".join(out)
@@ -418,17 +419,15 @@ def remove_vowels(word: str, config: EncoderConfig | None = None) -> str:
     wy = config.wy_as_vowels if config is not None else False
     out: list[str] = []
     for pos, ch in enumerate(word):
-        info = ethiopic.decompose(ch, tables)
+        info = ethiopic.decompose(ch)
         if info is None:
-            raise InvalidInputError(
-                ch, pos, word, ethiopic._left_out(ch, tables)
-            )
+            raise InvalidInputError(ch, pos, word)
         family = tables.representative_of(info.family)
         if family in tables.vowel_carriers:
             if pos == 0:
                 out.append(_ALEF)
             continue
-        out.append(ethiopic.compose(family, ethiopic.SADIS, tables))
+        out.append(ethiopic.compose(family, ethiopic.SADIS))
         if info.order == ethiopic.WA:
             out.append(_WAW)
     if wy:
@@ -496,11 +495,11 @@ def _canonical(word: str, config: EncoderConfig) -> str:
     """remove_vowels(simplify(word)) through the tables' compiled maps."""
     if not word:
         raise EmptyWordError("cannot encode an empty word")
+    supported = ethiopic.SUPPORTED
+    if not supported.issuperset(word):
+        pos = next(i for i, ch in enumerate(word) if ch not in supported)
+        raise InvalidInputError(word[pos], pos, word)
     tables = config.tables
-    if not tables.supported.issuperset(word):
-        pos = next(i for i, ch in enumerate(word) if ch not in tables.supported)
-        ch = word[pos]
-        raise InvalidInputError(ch, pos, word, ethiopic._left_out(ch, tables))
     key = tables.initial_keys[ord(word[0])] + word[1:].translate(tables.later_keys)
     if config.wy_as_vowels:
         key = key[:1] + key[1:].translate(_WY_DELETE)

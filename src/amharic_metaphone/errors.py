@@ -17,28 +17,17 @@ class InvalidInputError(AmharicMetaphoneError, ValueError):
     Attributes:
         char: the offending character.
         position: its index within the input word.
-        left_out: char is a syllable the default script tables support
-            and the tables in use leave out, not a non-Ethiopic scalar.
     """
 
-    def __init__(
-        self,
-        char: str,
-        position: int,
-        word: str | None = None,
-        left_out: bool = False,
-    ):
+    def __init__(self, char: str, position: int, word: str | None = None):
         self.char = char
         self.position = position
         self.word = word
-        self.left_out = left_out
-        scalar = f"scalar {char!r} (U+{ord(char):04X}) at position {position}"
         where = f" in {word!r}" if word else ""
-        if left_out:
-            message = f"{scalar}{where} is not in the script tables"
-        else:
-            message = f"non-Ethiopic {scalar}{where}"
-        super().__init__(message)
+        super().__init__(
+            f"non-Ethiopic scalar {char!r} (U+{ord(char):04X}) "
+            f"at position {position}{where}"
+        )
 
 
 class EmptyWordError(AmharicMetaphoneError, ValueError):

@@ -23,16 +23,16 @@ Unicode character database names. U+1358..U+135A (RYA, MYA, FYA) have no
 family/order structure and are treated as unsupported, like punctuation
 and numerals.
 
-The regular rows are fixed and laid out once. A ScriptTables takes only
-what a table file declares (homophone classes, vowel carriers and the
-standalone ʷ-series syllables), checks it by the file's rules and
-derives everything else from it.
+The regular rows and the standalone ʷ-series blocks are Unicode layout:
+they are fixed and laid out once, and SUPPORTED, the set of scalars the
+encoder accepts, follows from them alone. A ScriptTables takes only what
+a table file declares (homophone classes and vowel carriers), checks it
+by the file's rules and derives its per-scalar key maps from it.
 """
 
 from __future__ import annotations
 
 import os
-import unicodedata
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -44,7 +44,7 @@ __all__ = [
     "SADIS",
     "WA",
     "OA",
-    "SERIES_ORDERS",
+    "SUPPORTED",
     "SyllableInfo",
     "ScriptTables",
     "load_script_tables",
@@ -57,7 +57,6 @@ __all__ = [
 SADIS = 6
 WA = 14
 OA = 18
-SERIES_ORDERS = (11, 13, 14, 15, 16)
 
 # Regular family rows: base codepoint and the kind of the eighth column.
 #   "wa"  = fourth-order labiovelar (order 14)
@@ -105,6 +104,19 @@ _FAMILY_ROWS = (
     (0x1350, "wa"),   # ፐ
 )
 
+# Standalone ʷ-series blocks: first codepoint and base family. Each
+# block holds orders 11, 13, 14, 15 and 16 at offsets 0, 2, 3, 4 and 5;
+# its other offsets are unassigned.
+_SERIES_BLOCKS = (
+    (0x1248, "ቀ"),   # ቈ
+    (0x1258, "ቐ"),   # ቘ
+    (0x1288, "ኀ"),   # ኈ
+    (0x12B0, "ከ"),   # ኰ
+    (0x12C0, "ኸ"),   # ዀ
+    (0x1310, "ገ"),   # ጐ
+)
+_SERIES_COLUMNS = ((0, 11), (2, 13), (3, 14), (4, 15), (5, 16))
+
 _ENV_DATA_DIR = "AMHARIC_METAPHONE_DATA"
 _PACKAGE_DATA = Path(__file__).with_name("data")
 
@@ -125,32 +137,23 @@ class SyllableInfo:
 class ScriptTables:
     """Script data driving the encoder.
 
-    The three fields a table file declares: representative maps each
+    The two fields a table file declares: representative maps each
     family to its homophone-class head (families absent from the
-    mapping are their own head), vowel_carriers holds the families that
-    carry bare vowels, and labiovelar_map places each standalone
-    ʷ-series syllable at its (base family, order) slot. They pass the
-    checks a table file's records pass, or the constructor raises
-    ValueError with the loader's text.
+    mapping are their own head), and vowel_carriers holds the families
+    that carry bare vowels. They pass the checks a table file's records
+    pass, or the constructor raises ValueError with the loader's text.
 
-    The remaining fields are derived from these. by_char and by_family
-    hold the full codepoint layout: the fixed regular rows plus the
-    labiovelar_map entries. supported is the set of supported scalars,
-    and initial_keys and later_keys are the str.translate maps from
-    each of them to the fragment it adds to a canonical key at the
-    start of a word and after it (homophone merge plus vowel strip,
-    before the wy_as_vowels filter). Tables compare and hash by
-    identity.
+    initial_keys and later_keys are derived from these: the
+    str.translate maps from each scalar in SUPPORTED to the fragment it
+    adds to a canonical key at the start of a word and after it
+    (homophone merge plus vowel strip, before the wy_as_vowels filter).
+    Tables compare and hash by identity.
     """
 
     representative: Mapping[str, str]
     vowel_carriers: frozenset[str]
-    labiovelar_map: Mapping[str, tuple[str, int]]
-    by_char: Mapping[str, tuple[str, int]] = field(init=False, repr=False)
-    by_family: Mapping[tuple[str, int], str] = field(init=False, repr=False)
     initial_keys: Mapping[int, str] = field(init=False, repr=False)
     later_keys: Mapping[int, str] = field(init=False, repr=False)
-    supported: frozenset[str] = field(init=False, repr=False)
 
     def __post_init__(self):
         checked: dict[str, str] = {}
@@ -163,13 +166,9 @@ class ScriptTables:
                 )
         for family in sorted(self.vowel_carriers):
             _family(family)
-        by_char = dict(_BASE_BY_CHAR)
-        by_family = dict(_BASE_BY_FAMILY)
-        for ch, slot in self.labiovelar_map.items():
-            _place(ch, slot, by_char, by_family)
         initial: dict[int, str] = {}
         later: dict[int, str] = {}
-        for ch, (family, order) in by_char.items():
+        for ch, (family, order) in _BY_CHAR.items():
             code = ord(ch)
             head = self.representative_of(family)
             if head in self.vowel_carriers:
@@ -179,22 +178,19 @@ class ScriptTables:
             if head in self.vowel_carriers:
                 initial[code], later[code] = _ALEF, ""
                 continue
-            fragment = by_family[(head, SADIS)]
+            fragment = _SADIS_FORM[head]
             if order == WA:
                 fragment += _WAW
             initial[code] = later[code] = fragment
-        object.__setattr__(self, "by_char", by_char)
-        object.__setattr__(self, "by_family", by_family)
         object.__setattr__(self, "initial_keys", initial)
         object.__setattr__(self, "later_keys", later)
-        object.__setattr__(self, "supported", frozenset(by_char))
 
     def representative_of(self, family: str) -> str:
         return self.representative.get(family, family)
 
 
-def _base_layout() -> dict[str, tuple[str, int]]:
-    """Codepoint layout of the regular family rows: scalar -> (family, order)."""
+def _layout() -> dict[str, tuple[str, int]]:
+    """Codepoint layout of the syllabary: scalar -> (family, order)."""
     by_char: dict[str, tuple[str, int]] = {}
     for base, eighth in _FAMILY_ROWS:
         family = chr(base)
@@ -202,17 +198,19 @@ def _base_layout() -> dict[str, tuple[str, int]]:
             by_char[chr(base + offset)] = (family, offset + 1)
         if eighth is not None:
             by_char[chr(base + 7)] = (family, WA if eighth == "wa" else OA)
+    for first, family in _SERIES_BLOCKS:
+        for offset, order in _SERIES_COLUMNS:
+            by_char[chr(first + offset)] = (family, order)
     return by_char
 
 
-# The regular rows, laid out once. Every family's first-order and sadis
-# forms sit here, and a labiovelar_map entry (orders 11-16) can never
-# displace one, so rule files are checked against this layout alone.
-_BASE_BY_CHAR = _base_layout()
-_BASE_BY_FAMILY = {slot: ch for ch, slot in _BASE_BY_CHAR.items()}
+_BY_CHAR = _layout()
+_BY_FAMILY = {slot: ch for ch, slot in _BY_CHAR.items()}
+# The scalars the encoder accepts; every other scalar is non-Ethiopic.
+SUPPORTED = frozenset(_BY_CHAR)
 # Each family (its first-order form) -> its sadis form.
 _SADIS_FORM = {
-    family: ch for ch, (family, order) in _BASE_BY_CHAR.items() if order == SADIS
+    family: ch for ch, (family, order) in _BY_CHAR.items() if order == SADIS
 }
 
 
@@ -240,30 +238,6 @@ def _add_member(member: str, head: str, representative: dict[str, str]) -> None:
     representative[member] = head
 
 
-def _place(
-    ch: str,
-    slot: tuple[str, int],
-    by_char: dict[str, tuple[str, int]],
-    by_family: dict[tuple[str, int], str],
-) -> None:
-    """Add a ʷ-series syllable at slot (base family, order) to a layout.
-
-    ValueError unless the base is a family, the order is a ʷ-series
-    order, ch is one scalar named ETHIOPIC SYLLABLE, and neither ch nor
-    the slot is in the layout yet.
-    """
-    base, order = slot
-    _family(base)
-    if order not in SERIES_ORDERS:
-        raise ValueError(f"order {order} is not a ʷ-series order")
-    if len(ch) != 1 or not unicodedata.name(ch, "").startswith("ETHIOPIC SYLLABLE"):
-        raise ValueError(f"{ch!r} is not an Ethiopic syllable")
-    if ch in by_char or slot in by_family:
-        raise ValueError(f"{ch!r} collides with an existing slot")
-    by_char[ch] = slot
-    by_family[slot] = ch
-
-
 def data_dir() -> Path:
     """Directory holding the bundled table files.
 
@@ -284,8 +258,12 @@ def _read_text(path: Path, kind: str) -> str:
         raise LoadError(f"not valid UTF-8: {exc}", path=path)
 
 
-def _records(path: Path):
-    """Yield (line_number, section, tokens) for a table file."""
+def _records(path: Path, sections: tuple[str, ...]):
+    """Yield (line_number, section, tokens) for a table file.
+
+    A header naming a section outside sections is a LoadError at its
+    own line, whether or not records follow it.
+    """
     text = _read_text(path, "table")
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -294,6 +272,8 @@ def _records(path: Path):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1]
+            if section not in sections:
+                raise LoadError(f"unknown section {section!r}", path=path, line=lineno)
             continue
         if section is None:
             raise LoadError("record before any [section] header", path=path, line=lineno)
@@ -301,7 +281,7 @@ def _records(path: Path):
 
 
 def load_script_tables(path: Path | str) -> ScriptTables:
-    """Load homophone classes, the labiovelar map, and vowel carriers.
+    """Load homophone classes and vowel carriers.
 
     The file format is line-oriented UTF-8: '#' starts a comment,
     [section] headers group records, and records are whitespace-separated
@@ -310,35 +290,20 @@ def load_script_tables(path: Path | str) -> ScriptTables:
     path = Path(path)
     representative: dict[str, str] = {}
     carriers: set[str] = set()
-    labiovelar: dict[str, tuple[str, int]] = {}
-    by_char, by_family = dict(_BASE_BY_CHAR), dict(_BASE_BY_FAMILY)
     try:
-        for lineno, section, tokens in _records(path):
+        sections = ("homophone-classes", "vowel-carriers")
+        for lineno, section, tokens in _records(path, sections):
             if section == "homophone-classes":
                 if len(tokens) < 2:
                     raise LoadError("class needs a head and at least one member",
                                     path=path, line=lineno)
                 for member in tokens[1:]:
                     _add_member(member, tokens[0], representative)
-            elif section == "labiovelar-map":
-                if len(tokens) != 3:
-                    raise LoadError("expected: <char> <base family> <order>",
-                                    path=path, line=lineno)
-                ch, base, order_token = tokens
-                _family(base)  # before the order, as the record reads
-                try:
-                    order = int(order_token)
-                except ValueError:
-                    raise LoadError(f"bad order {order_token!r}", path=path, line=lineno)
-                _place(ch, (base, order), by_char, by_family)
-                labiovelar[ch] = (base, order)
-            elif section == "vowel-carriers":
+            else:  # vowel-carriers
                 if len(tokens) != 1:
                     raise LoadError("expected one family per record",
                                     path=path, line=lineno)
                 carriers.add(_family(tokens[0]))
-            else:
-                raise LoadError(f"unknown section {section!r}", path=path, line=lineno)
     except ValueError as exc:
         raise LoadError(str(exc), path=path, line=lineno) from None
     # Only the class-head check is left to fail here, and it has no line.
@@ -346,7 +311,6 @@ def load_script_tables(path: Path | str) -> ScriptTables:
         return ScriptTables(
             representative=representative,
             vowel_carriers=frozenset(carriers),
-            labiovelar_map=labiovelar,
         )
     except ValueError as exc:
         raise LoadError(str(exc), path=path) from None
@@ -365,42 +329,26 @@ def default_tables() -> ScriptTables:
     return _tables_in(data_dir())
 
 
-def _left_out(ch: str, tables: ScriptTables) -> bool:
-    """True for a syllable the default tables support and tables lack.
-
-    Error messages call such a character missing from the script
-    tables, not non-Ethiopic.
-    """
-    return ch not in tables.supported and ch in default_tables().supported
-
-
-def _unencodable(
-    word: str, tables: ScriptTables, path: Path, line: int, noun: str = "word "
-) -> LoadError:
-    """The LoadError for a word in a data file that the tables cannot encode."""
-    ch = next(ch for ch in word if ch not in tables.supported)
-    where = f"{ch!r} in {noun}{word!r}"
-    if not _left_out(ch, tables):
-        return LoadError(f"non-Ethiopic character {where}", path=path, line=line)
-    return LoadError(f"character {where} is not in the script tables",
+def _unencodable(word: str, path: Path, line: int, noun: str = "word ") -> LoadError:
+    """The LoadError for a word in a data file that holds an unsupported scalar."""
+    ch = next(ch for ch in word if ch not in SUPPORTED)
+    return LoadError(f"non-Ethiopic character {ch!r} in {noun}{word!r}",
                      path=path, line=line)
 
 
-def decompose(ch: str, tables: ScriptTables | None = None) -> SyllableInfo | None:
+def decompose(ch: str) -> SyllableInfo | None:
     """Split one character into (family, order), or None if unsupported."""
     if len(ch) != 1:
         raise ValueError(f"expected a single character, got {ch!r}")
-    tables = tables or default_tables()
-    info = tables.by_char.get(ch)
+    info = _BY_CHAR.get(ch)
     if info is None:
         return None
     return SyllableInfo(family=info[0], order=info[1], char=ch)
 
 
-def compose(family: str, order: int, tables: ScriptTables | None = None) -> str:
+def compose(family: str, order: int) -> str:
     """Return the syllable at (family, order); InvalidOrderError if empty."""
-    tables = tables or default_tables()
-    ch = tables.by_family.get((family, order))
+    ch = _BY_FAMILY.get((family, order))
     if ch is None:
         raise InvalidOrderError(f"family {family!r} has no member at order {order}")
     return ch

@@ -100,16 +100,13 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def load_corpus(
-    path: Path | str, tables: ethiopic.ScriptTables | None = None
-) -> list[CorpusEntry]:
+def load_corpus(path: Path | str) -> list[CorpusEntry]:
     """Read corpus rows: canonical TAB variant TAB type [TAB expected_fail].
 
-    A word holding a character the tables cannot encode is a LoadError
+    A word holding a character outside ethiopic.SUPPORTED is a LoadError
     naming the line.
     """
     path = Path(path)
-    tables = tables or ethiopic.default_tables()
     text = ethiopic._read_text(path, "corpus")
     entries: list[CorpusEntry] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -140,8 +137,8 @@ def load_corpus(
         for word in (canonical, variant):
             if not word:
                 raise LoadError("empty word", path=path, line=lineno)
-            if not tables.supported.issuperset(word):
-                raise ethiopic._unencodable(word, tables, path, lineno, noun="")
+            if not ethiopic.SUPPORTED.issuperset(word):
+                raise ethiopic._unencodable(word, path, lineno, noun="")
         entries.append(CorpusEntry(canonical, variant, error_type, expected_fail))
     return entries
 

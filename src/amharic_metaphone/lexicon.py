@@ -141,16 +141,13 @@ class EncodingIndex:
         return self.mapping.get(key, {})
 
 
-def load_lexicon(
-    path: Path | str, tables: ethiopic.ScriptTables | None = None
-) -> Lexicon:
+def load_lexicon(path: Path | str) -> Lexicon:
     """Read one word per line; '#' comments and blank lines are skipped.
 
-    Words are NFC-normalized. A line holding a character the tables
-    cannot encode is a LoadError naming the line.
+    Words are NFC-normalized. A line holding a character outside
+    ethiopic.SUPPORTED is a LoadError naming the line.
     """
     path = Path(path)
-    tables = tables or ethiopic.default_tables()
     text = ethiopic._read_text(path, "lexicon")
     words: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -158,8 +155,8 @@ def load_lexicon(
         if not line:
             continue
         word = unicodedata.normalize("NFC", line)
-        if not tables.supported.issuperset(word):
-            raise ethiopic._unencodable(word, tables, path, lineno)
+        if not ethiopic.SUPPORTED.issuperset(word):
+            raise ethiopic._unencodable(word, path, lineno)
         words.add(word)
     return Lexicon(words=frozenset(words))
 
@@ -238,16 +235,13 @@ def dump_index(index: EncodingIndex, path: Path | str) -> None:
         raise
 
 
-def load_index(
-    path: Path | str, tables: ethiopic.ScriptTables | None = None
-) -> EncodingIndex:
+def load_index(path: Path | str) -> EncodingIndex:
     """Reload a dump_index() file without re-encoding the lexicon.
 
-    A word holding a character the tables cannot encode is a LoadError
+    A word holding a character outside ethiopic.SUPPORTED is a LoadError
     naming the line, as in load_lexicon().
     """
     path = Path(path)
-    tables = tables or ethiopic.default_tables()
     lines = ethiopic._read_text(path, "index").splitlines()
     if not lines or lines[0].strip() != _INDEX_MAGIC:
         raise LoadError("not an index dump (bad header)", path=path, line=1)
@@ -266,8 +260,8 @@ def load_index(
         key, word, tier_token = parts
         if not key or not word:
             raise LoadError(f"empty {'word' if key else 'key'}", path=path, line=lineno)
-        if not tables.supported.issuperset(word):
-            raise ethiopic._unencodable(word, tables, path, lineno)
+        if not ethiopic.SUPPORTED.issuperset(word):
+            raise ethiopic._unencodable(word, path, lineno)
         tier = _TIERS.get(tier_token)
         if tier is None:
             raise LoadError(f"bad tier {tier_token!r}", path=path, line=lineno)

@@ -10,7 +10,7 @@ import statistics
 import time
 
 from amharic_metaphone.encoder import EncoderConfig, Tier, encode, remove_vowels, simplify
-from amharic_metaphone.ethiopic import SADIS, compose, data_dir, decompose, default_tables
+from amharic_metaphone.ethiopic import SADIS, SUPPORTED, compose, data_dir, decompose
 from amharic_metaphone.evaluate import evaluate, load_corpus, matches
 from amharic_metaphone.lexicon import Lexicon, build_index, distance, suggest
 
@@ -109,9 +109,8 @@ def test_corpus_rates():
 
 
 def test_property_suites():
-    tables = default_tables()
     rng = random.Random(20260816)
-    supported = sorted(tables.by_char)
+    supported = sorted(SUPPORTED)
 
     # decompose/compose round-trip over the entire supported range
     for ch in supported:

@@ -40,6 +40,7 @@ from amharic_metaphone.errors import (
 )
 from amharic_metaphone.ethiopic import (
     SADIS,
+    SUPPORTED,
     ScriptTables,
     decompose,
     default_tables,
@@ -327,16 +328,14 @@ def test_constructors_take_only_what_the_fingerprint_reads():
     def declared(cls):
         return [f.name for f in fields(cls) if f.init]
 
-    assert declared(ScriptTables) == ["representative", "vowel_carriers",
-                                      "labiovelar_map"]
+    assert declared(ScriptTables) == ["representative", "vowel_carriers"]
     assert declared(MistrikeProfile) == ["pairs"]
     # Each declared field moves the fingerprint, so two configs that key
     # words differently cannot share one.
     tables = default_tables()
     bundled = {name: getattr(tables, name) for name in declared(ScriptTables)}
     base = EncoderConfig().fingerprint
-    for name, value in (("representative", {}), ("vowel_carriers", frozenset("ዐ")),
-                        ("labiovelar_map", {})):
+    for name, value in (("representative", {}), ("vowel_carriers", frozenset("ዐ"))):
         variant = EncoderConfig(tables=ScriptTables(**{**bundled, name: value}))
         assert variant.fingerprint != base, name
     profile = MistrikeProfile(pairs=(("ጠ", "ተ"),))
@@ -420,9 +419,8 @@ def test_load_glyph_pairs_rejects_bad_records(tmp_path):
 
 # --- properties -------------------------------------------------------------
 
-_tables = default_tables()
 ethiopic_words = st.text(
-    alphabet=st.sampled_from(sorted(_tables.by_char)), min_size=1, max_size=6
+    alphabet=st.sampled_from(sorted(SUPPORTED)), min_size=1, max_size=6
 )
 configs = st.sampled_from(
     [EncoderConfig(), WY, NO_PROFILE, EncoderConfig(wy_as_vowels=True, profile=None)]
@@ -687,21 +685,19 @@ def test_suggest_and_matches_walk_without_the_memo():
     assert "_key_sets" not in vars(config)
 
 
-def test_invalid_input_names_a_syllable_the_tables_leave_out(tmp_path):
-    path = tmp_path / "script_tables.txt"
-    path.write_text("[vowel-carriers]\nአ\n", encoding="utf-8")
-    tables = load_script_tables(path)
-    config = EncoderConfig(profile=None, glyph_pairs=(), tables=tables)
-    for call in (lambda: encode("ላቈ", config), lambda: simplify("ላቈ", tables)):
+def test_invalid_input_reads_no_data_file(monkeypatch, tmp_path):
+    # A config keeps its tables, and the supported set is fixed, so a bad
+    # scalar is reported without reading the data directory again.
+    monkeypatch.delenv("AMHARIC_METAPHONE_DATA", raising=False)
+    config = EncoderConfig()
+    monkeypatch.setenv("AMHARIC_METAPHONE_DATA", str(tmp_path / "absent"))
+    for call in (lambda: encode("ላx", config),
+                 lambda: simplify("ላx", config.tables)):
         with pytest.raises(InvalidInputError) as exc:
             call()
-        assert exc.value.left_out
         assert str(exc.value) == (
-            "scalar 'ቈ' (U+1248) at position 1 in 'ላቈ' is not in the script tables"
+            "non-Ethiopic scalar 'x' (U+0078) at position 1 in 'ላx'"
         )
-    with pytest.raises(InvalidInputError) as exc:
-        encode("ላx", config)
-    assert str(exc.value) == "non-Ethiopic scalar 'x' (U+0078) at position 1 in 'ላx'"
 
 
 # --- the compiled canonical key against simplify + remove_vowels ------------
@@ -712,10 +708,7 @@ def test_invalid_input_names_a_syllable_the_tables_leave_out(tmp_path):
 _ORACLE_TABLES = {
     "minimal": "# nothing but a comment\n[vowel-carriers]\nአ\n",
     "carrier-without-alef": "[vowel-carriers]\nዐ\n",
-    "alef-as-consonant": (
-        "[homophone-classes]\nሀ ሐ አ\n[labiovelar-map]\nኋ ኀ 14\n"
-        "[vowel-carriers]\nዐ\n"
-    ),
+    "alef-as-consonant": "[homophone-classes]\nሀ ሐ አ\n[vowel-carriers]\nዐ\n",
 }
 
 
@@ -737,7 +730,7 @@ def _canonical_pair(word, wy, tables):
 
 @pytest.mark.parametrize("wy", [False, True])
 def test_compiled_key_matches_the_oracle_for_every_scalar(oracle_tables, wy):
-    for ch in sorted(oracle_tables.supported):
+    for ch in sorted(SUPPORTED):
         for word in (ch, ch + ch, "ለ" + ch):
             compiled, oracle = _canonical_pair(word, wy, oracle_tables)
             assert compiled == oracle, word
@@ -747,7 +740,7 @@ def test_compiled_key_matches_the_oracle_for_every_scalar(oracle_tables, wy):
 @given(data=st.data(), wy=st.booleans())
 def test_compiled_key_matches_the_oracle_on_words(oracle_tables, data, wy):
     word = data.draw(st.text(
-        alphabet=st.sampled_from(sorted(oracle_tables.supported)),
+        alphabet=st.sampled_from(sorted(SUPPORTED)),
         min_size=1, max_size=12))
     compiled, oracle = _canonical_pair(word, wy, oracle_tables)
     assert compiled == oracle
@@ -755,10 +748,9 @@ def test_compiled_key_matches_the_oracle_on_words(oracle_tables, data, wy):
 
 @given(data=st.data())
 def test_compiled_key_reports_bad_scalars_like_the_oracle(oracle_tables, data):
-    supported = sorted(oracle_tables.supported)
-    word = data.draw(st.text(alphabet=st.sampled_from(supported), max_size=6))
-    bad = data.draw(st.sampled_from("ፘ፡፩a ቋ") | st.characters())
-    assume(bad not in oracle_tables.supported)
+    word = data.draw(st.text(alphabet=st.sampled_from(sorted(SUPPORTED)), max_size=6))
+    bad = data.draw(st.sampled_from("ፘ፡፩a ") | st.characters())
+    assume(bad not in SUPPORTED)
     pos = data.draw(st.integers(0, len(word)))
     word = word[:pos] + bad + word[pos:]
     with pytest.raises(InvalidInputError) as compiled:

@@ -24,6 +24,7 @@ from amharic_metaphone.errors import InvalidOrderError, LoadError
 from amharic_metaphone.ethiopic import (
     OA,
     SADIS,
+    SUPPORTED,
     WA,
     compose,
     data_dir,
@@ -52,10 +53,10 @@ def _stem(family: str) -> str:
 
 
 def test_every_table_entry_matches_its_unicode_name():
-    tables = default_tables()
-    for ch, (family, order) in tables.by_char.items():
+    for ch, (family, order) in ethiopic._BY_CHAR.items():
         stem = _stem(family)
-        if ch in tables.labiovelar_map:
+        if ord(ch) - ord(family) >= 8:
+            # Past its family's row of eight: a standalone ʷ-series syllable.
             suffix = _SERIES_SUFFIX[order]
         elif order in _PLAIN_SUFFIX:
             suffix = _PLAIN_SUFFIX[order]
@@ -72,39 +73,57 @@ def test_every_table_entry_matches_its_unicode_name():
 
 
 def test_supported_set_is_exactly_the_assigned_syllable_block():
-    tables = default_tables()
     assigned = {
         chr(cp)
         for cp in range(0x1200, 0x1358)
         if unicodedata.name(chr(cp), None) is not None
     }
-    assert set(tables.by_char) == assigned
-    assert len(tables.by_char) == 323
+    assert SUPPORTED == set(ethiopic._BY_CHAR) == assigned
+    assert len(SUPPORTED) == 323
 
 
 def test_rya_mya_fya_and_non_syllables_are_unsupported():
-    supported = default_tables().supported
     for ch in "ፘፙፚ":  # RYA, MYA, FYA
         assert decompose(ch) is None
-        assert ch not in supported
+        assert ch not in SUPPORTED
     for ch in "፡።፩፼፟":  # punctuation, digits, marks
         assert decompose(ch) is None
-        assert ch not in supported
+        assert ch not in SUPPORTED
     for ch in "a!7 x":
         assert decompose(ch) is None
-        assert ch not in supported
-    assert "ቋ" in supported
+        assert ch not in SUPPORTED
+    assert "ቋ" in SUPPORTED
 
 
 def test_decompose_compose_round_trip_everywhere():
-    tables = default_tables()
-    for ch in tables.by_char:
+    for ch in ethiopic._BY_CHAR:
         info = decompose(ch)
         assert info is not None and info.char == ch
         assert compose(info.family, info.order) == ch
-    for (family, order), ch in tables.by_family.items():
+    for (family, order), ch in ethiopic._BY_FAMILY.items():
         info = decompose(ch)
         assert (info.family, info.order) == (family, order)
+
+
+@pytest.mark.parametrize("first, family", [
+    ("ቈ", "ቀ"), ("ቘ", "ቐ"), ("ኈ", "ኀ"), ("ኰ", "ከ"), ("ዀ", "ኸ"), ("ጐ", "ገ"),
+], ids=["QWA", "QHWA", "XWA", "KWA", "KXWA", "GWA"])
+def test_series_block_is_laid_out_and_keyed(first, family):
+    # One block of eight codepoints: five ʷ-series syllables and three
+    # unassigned gaps that stay unsupported.
+    orders = {0: 11, 2: 13, 3: 14, 4: 15, 5: 16}
+    sadis = encode(compose(family, SADIS)).canonical
+    for offset in range(8):
+        ch = chr(ord(first) + offset)
+        if offset not in orders:
+            assert unicodedata.name(ch, None) is None
+            assert ch not in SUPPORTED and decompose(ch) is None
+            continue
+        order = orders[offset]
+        assert (decompose(ch).family, decompose(ch).order) == (family, order)
+        assert compose(family, order) == ch
+        # Only the fourth-order ʷa keeps its glide in the key.
+        assert encode(ch).canonical == sadis + ("ው" if order == WA else "")
 
 
 @pytest.mark.parametrize(
@@ -178,8 +197,7 @@ def test_to_sadis_known_points():
 
 
 def test_to_sadis_is_total_and_idempotent_over_supported_chars():
-    tables = default_tables()
-    for ch in tables.by_char:
+    for ch in sorted(SUPPORTED):
         key = encode(ch).canonical
         assert key == "አ" or all(decompose(k).order == SADIS for k in key)
         assert encode(key).canonical == key
@@ -293,52 +311,41 @@ def test_load_rejects_member_used_as_head(tmp_path):
         _load(tmp_path, "[homophone-classes]\nሀ ሐ\nሐ ሰ\n")
 
 
-def test_load_rejects_bad_labiovelar_records(tmp_path):
-    with pytest.raises(LoadError):
-        _load(tmp_path, "[labiovelar-map]\nቈ ቀ\n")
-    with pytest.raises(LoadError):
-        _load(tmp_path, "[labiovelar-map]\nቈ ቀ twelve\n")
-    with pytest.raises(LoadError):
-        _load(tmp_path, "[labiovelar-map]\nቈ ቀ 12\n")
-    with pytest.raises(LoadError):
-        # ሏ already sits in the base layout at (ለ, 14)
-        _load(tmp_path, "[labiovelar-map]\nሏ ለ 14\n")
-    with pytest.raises(LoadError):
-        # two chars claiming one slot
-        _load(tmp_path, "[labiovelar-map]\nቋ ቀ 14\nቌ ቀ 14\n")
-
-
 @pytest.mark.parametrize("text, declared", [
-    # Keyed ለማ as ቅም, not ልም, when the constructor took it.
-    ("[labiovelar-map]\nለ ቀ 11\n", {"labiovelar_map": {"ለ": ("ቀ", 11)}}),
-    ("[labiovelar-map]\nቋ ቀ 14\nቌ ቀ 14\n",
-     {"labiovelar_map": {"ቋ": ("ቀ", 14), "ቌ": ("ቀ", 14)}}),
-    ("[labiovelar-map]\nቈ ቀ 12\n", {"labiovelar_map": {"ቈ": ("ቀ", 12)}}),
-    ("[labiovelar-map]\nቈ ቈ 11\n", {"labiovelar_map": {"ቈ": ("ቈ", 11)}}),
     ("[homophone-classes]\nሀ ሐ\nሰ ሀ\n", {"representative": {"ሐ": "ሀ", "ሀ": "ሰ"}}),
     ("[homophone-classes]\nሀ ሀ\n", {"representative": {"ሀ": "ሀ"}}),
     ("[homophone-classes]\nሀ ህ\n", {"representative": {"ህ": "ሀ"}}),
     ("[vowel-carriers]\nእ\n", {"vowel_carriers": frozenset("እ")}),
-    # Took x as a supported scalar keyed as ቅ.
-    ("[labiovelar-map]\nx ቀ 11\n", {"labiovelar_map": {"x": ("ቀ", 11)}}),
-    # Escaped as a TypeError from ord().
-    ("[labiovelar-map]\nቈቈ ቀ 11\n", {"labiovelar_map": {"ቈቈ": ("ቀ", 11)}}),
 ])
 def test_hand_built_tables_pass_the_file_checks(tmp_path, text, declared):
     # Tables the loader refuses cannot be built by hand either, and the
     # constructor gives the loader's text.
     with pytest.raises(LoadError) as loaded:
         _load(tmp_path, text)
-    fields = {"representative": {}, "vowel_carriers": frozenset("አ"),
-              "labiovelar_map": {}, **declared}
+    fields = {"representative": {}, "vowel_carriers": frozenset("አ"), **declared}
     with pytest.raises(ValueError) as built:
         ScriptTables(**fields)
     assert str(loaded.value).endswith(f": {built.value}")
 
 
-def test_load_rejects_unknown_section(tmp_path):
-    with pytest.raises(LoadError):
-        _load(tmp_path, "[mystery]\nሀ\n")
+@pytest.mark.parametrize("load, text, line, section", [
+    # The ʷ-series is fixed layout, not a section a table declares.
+    (load_script_tables, "[homophone-classes]\nሀ ሐ\n\n[labiovelar-map]\nቈ ቀ 11\n",
+     4, "labiovelar-map"),
+    # A header with no records under it is checked too.
+    (load_script_tables, "[vowel-carriers]\nአ\n[labiovelar-map]\n",
+     3, "labiovelar-map"),
+    (load_mistrike_profile, "[mistrike-pairs]\nጠ ተ\n\n[glyph-pairs]\n",
+     4, "glyph-pairs"),
+    (load_glyph_pairs, "# pairs\n[mistrike-pairs]\n", 2, "mistrike-pairs"),
+], ids=["tables", "tables-bare-header", "profile", "glyph-pairs"])
+def test_load_rejects_unknown_section(tmp_path, load, text, line, section):
+    path = tmp_path / "rules.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(LoadError) as exc:
+        load(path)
+    assert exc.value.line == line
+    assert str(exc.value) == f"{path}:{line}: unknown section {section!r}"
 
 
 def test_load_reports_missing_file(tmp_path):
@@ -366,5 +373,10 @@ def test_load_accepts_minimal_file(tmp_path):
     tables = _load(tmp_path, "# nothing but a comment\n[vowel-carriers]\nአ\n")
     assert tables.vowel_carriers == frozenset("አ")
     assert tables.representative == {}
-    # layout is built in regardless of file contents
-    assert tables.by_char["ሀ"] == ("ሀ", 1)
+    # The layout, ʷ-series included, is fixed whatever the file holds.
+    config = EncoderConfig(tables=tables)
+    assert encode("ቈለ", config).canonical == "ቅል"
+    path = tmp_path / "words.txt"
+    path.write_text("ቈለ\n", encoding="utf-8")
+    index = build_index(load_lexicon(path), config)
+    assert [s.word for s in suggest("ቈለ", index, config)] == ["ቈለ"]

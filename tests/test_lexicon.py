@@ -12,7 +12,7 @@ from amharic_metaphone.errors import (
     InvalidInputError,
     LoadError,
 )
-from amharic_metaphone.ethiopic import data_dir, default_tables, load_script_tables
+from amharic_metaphone.ethiopic import SUPPORTED, data_dir
 from amharic_metaphone.lexicon import (
     EncodingIndex,
     Lexicon,
@@ -72,25 +72,16 @@ def test_load_lexicon_reports_bad_line(tmp_path):
     )
 
 
-def test_load_lexicon_checks_words_against_the_given_tables(tmp_path):
-    tables_path = tmp_path / "script_tables.txt"
-    tables_path.write_text("[vowel-carriers]\nአ\n", encoding="utf-8")
-    path = write_lexicon(tmp_path, "ቈለ\n")
-    assert "ቈለ" in load_lexicon(path)
+def test_load_lexicon_reads_no_table_file(monkeypatch, tmp_path):
+    # Words are checked against the fixed syllabary, ʷ-series included,
+    # so loading needs no script table.
+    monkeypatch.setenv("AMHARIC_METAPHONE_DATA", str(tmp_path / "absent"))
+    path = write_lexicon(tmp_path, "ቈለ\nላም\n")
+    assert sorted(load_lexicon(path)) == ["ላም", "ቈለ"]
+    path = write_lexicon(tmp_path, "ቈለ\nቈx\n")
     with pytest.raises(LoadError) as exc:
-        load_lexicon(path, load_script_tables(tables_path))
-    assert (exc.value.path, exc.value.line) == (path, 1)
-
-
-def test_load_lexicon_names_a_syllable_the_tables_leave_out(tmp_path):
-    tables_path = tmp_path / "script_tables.txt"
-    tables_path.write_text("[vowel-carriers]\nአ\n", encoding="utf-8")
-    path = write_lexicon(tmp_path, "ላም\nቈለ\n")
-    with pytest.raises(LoadError) as exc:
-        load_lexicon(path, load_script_tables(tables_path))
-    assert str(exc.value) == (
-        f"{path}:2: character 'ቈ' in word 'ቈለ' is not in the script tables"
-    )
+        load_lexicon(path)
+    assert str(exc.value) == f"{path}:2: non-Ethiopic character 'x' in word 'ቈx'"
 
 
 def test_load_lexicon_missing_file(tmp_path):
@@ -312,22 +303,24 @@ def test_load_index_checks_words_against_the_tables(tmp_path):
             f"{path}:4: non-Ethiopic character {ch!r} in word {word!r}"
         )
 
-    tables_path = tmp_path / "script_tables.txt"
-    tables_path.write_text("[vowel-carriers]\nአ\n", encoding="utf-8")
     path.write_text(head + "ቅል\tቈለ\t0\n", encoding="utf-8")
     assert load_index(path).mapping == {"ቅል": {"ቈለ": Tier.CANONICAL}}
+
+
+def test_load_index_reads_no_table_file(monkeypatch, tmp_path):
+    monkeypatch.setenv("AMHARIC_METAPHONE_DATA", str(tmp_path / "absent"))
+    head = "# amharic-metaphone-index v1\n# fingerprint c3b6d1e3774e103d\n"
+    path = tmp_path / "index.txt"
+    path.write_text(head + "ቅል\tቈለ\t0\nቅል\tቈx\t0\n", encoding="utf-8")
     with pytest.raises(LoadError) as exc:
-        load_index(path, load_script_tables(tables_path))
-    assert str(exc.value) == (
-        f"{path}:3: character 'ቈ' in word 'ቈለ' is not in the script tables"
-    )
+        load_index(path)
+    assert str(exc.value) == f"{path}:4: non-Ethiopic character 'x' in word 'ቈx'"
 
 
 # --- properties -------------------------------------------------------------
 
-_tables = default_tables()
 ethiopic_words = st.text(
-    alphabet=st.sampled_from(sorted(_tables.by_char)), min_size=1, max_size=5
+    alphabet=st.sampled_from(sorted(SUPPORTED)), min_size=1, max_size=5
 )
 
 
