@@ -14,8 +14,6 @@ from .encoder import (
     GlyphPair,
     MistrikeProfile,
     Tier,
-    default_glyph_pairs,
-    default_mistrike_profile,
     encode,
     lcd_mistrike,
     load_glyph_pairs,
@@ -36,7 +34,6 @@ from .ethiopic import (
     ScriptTables,
     compose,
     decompose,
-    default_tables,
     load_script_tables,
 )
 from .evaluate import (
@@ -88,9 +85,6 @@ __all__ = [
     "build_index",
     "compose",
     "decompose",
-    "default_glyph_pairs",
-    "default_mistrike_profile",
-    "default_tables",
     "distance",
     "dump_index",
     "encode",

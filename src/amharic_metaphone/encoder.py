@@ -53,12 +53,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import ethiopic
-from .errors import (
-    EmptyWordError,
-    InvalidInputError,
-    InvalidOrderError,
-    LoadError,
-)
+from .errors import EmptyWordError, InvalidInputError, InvalidOrderError
 
 __all__ = [
     "Tier",
@@ -69,8 +64,6 @@ __all__ = [
     "EncoderConfig",
     "load_mistrike_profile",
     "load_glyph_pairs",
-    "default_mistrike_profile",
-    "default_glyph_pairs",
     "simplify",
     "remove_vowels",
     "lcd_mistrike",
@@ -199,7 +192,7 @@ class GlyphPair:
 
 
 # The rules a rule file's records obey. Each raises ValueError with the
-# text its loader reports; the loader adds the file and line, and
+# text its loader reports; ethiopic._read_rules adds the file and line, and
 # MistrikeProfile and EncoderConfig run the same checks over their fields.
 
 def _add_mistrike_pair(pair: tuple[str, str], shifted: set[str]) -> None:
@@ -231,48 +224,34 @@ def _add_glyph_pair(pair: GlyphPair, used: set[str]) -> None:
 
 def load_mistrike_profile(path: Path | str) -> MistrikeProfile:
     """Load a [mistrike-pairs] file of (shifted, plain) family pairs."""
-    path = Path(path)
     pairs: list[tuple[str, str]] = []
     shifted: set[str] = set()
-    try:
-        for lineno, _, tokens in ethiopic._records(path, ("mistrike-pairs",)):
-            if len(tokens) != 2:
-                raise LoadError("expected: <shifted family> <plain family>",
-                                path=path, line=lineno)
-            pair = (tokens[0], tokens[1])
-            _add_mistrike_pair(pair, shifted)
-            pairs.append(pair)
-    except ValueError as exc:
-        raise LoadError(str(exc), path=path, line=lineno) from None
+
+    def record(_, tokens: list[str]) -> None:
+        if len(tokens) != 2:
+            raise ValueError("expected: <shifted family> <plain family>")
+        pair = (tokens[0], tokens[1])
+        _add_mistrike_pair(pair, shifted)
+        pairs.append(pair)
+
+    ethiopic._read_rules(Path(path), ("mistrike-pairs",), record)
     return MistrikeProfile(pairs=tuple(pairs))
 
 
 def load_glyph_pairs(path: Path | str) -> tuple[GlyphPair, ...]:
     """Load a [glyph-pairs] file of confusable key characters."""
-    path = Path(path)
     pairs: list[GlyphPair] = []
     used: set[str] = set()
-    try:
-        for lineno, _, tokens in ethiopic._records(path, ("glyph-pairs",)):
-            if len(tokens) != 3 or tokens[2] not in ("initial", "any"):
-                raise LoadError("expected: <char> <char> initial|any",
-                                path=path, line=lineno)
-            pair = GlyphPair(a=tokens[0], b=tokens[1], anywhere=tokens[2] == "any")
-            _add_glyph_pair(pair, used)
-            pairs.append(pair)
-    except ValueError as exc:
-        raise LoadError(str(exc), path=path, line=lineno) from None
+
+    def record(_, tokens: list[str]) -> None:
+        if len(tokens) != 3 or tokens[2] not in ("initial", "any"):
+            raise ValueError("expected: <char> <char> initial|any")
+        pair = GlyphPair(a=tokens[0], b=tokens[1], anywhere=tokens[2] == "any")
+        _add_glyph_pair(pair, used)
+        pairs.append(pair)
+
+    ethiopic._read_rules(Path(path), ("glyph-pairs",), record)
     return tuple(pairs)
-
-
-def default_mistrike_profile() -> MistrikeProfile:
-    """The bundled phonetic-keyboard profile, read once per data directory."""
-    return _default_config().profile
-
-
-def default_glyph_pairs() -> tuple[GlyphPair, ...]:
-    """The bundled glyph-confusion table, read once per data directory."""
-    return _default_config().glyph_pairs
 
 
 @dataclass(frozen=True)
@@ -282,20 +261,29 @@ class EncoderConfig:
     wy_as_vowels treats non-initial ው and ይ as vowels and drops them
     from keys. profile=None disables input-method alternates entirely,
     the right call when the writer's keyboard layout is unknown.
-    max_encodings caps the set size; the canonical key is never evicted.
-    glyph_pairs hold sadis forms only and share no character; otherwise
-    ValueError with the loader's text. tables build the canonical key.
-    Defaults are read from the data directory when the config is built
-    and stay with it; tables compare by identity.
+    max_encodings caps the set size: an int of at least 1, else TypeError
+    or ValueError; the canonical key is never evicted. glyph_pairs hold
+    sadis forms only and share no character; otherwise ValueError with
+    the loader's text. tables build the canonical key. By default
+    profile, glyph_pairs and tables are the bundled rules, read from the
+    data directory once per directory; a config keeps them if the
+    directory changes. Tables compare by identity.
     """
 
     wy_as_vowels: bool = False
-    profile: MistrikeProfile | None = field(default_factory=default_mistrike_profile)
-    glyph_pairs: tuple[GlyphPair, ...] = field(default_factory=default_glyph_pairs)
+    profile: MistrikeProfile | None = field(
+        default_factory=lambda: _default_config().profile)
+    glyph_pairs: tuple[GlyphPair, ...] = field(
+        default_factory=lambda: _default_config().glyph_pairs)
     max_encodings: int = 16
-    tables: ethiopic.ScriptTables = field(default_factory=ethiopic.default_tables)
+    tables: ethiopic.ScriptTables = field(
+        default_factory=lambda: _default_config().tables)
 
     def __post_init__(self):
+        # A float cap such as 2.5 or inf is never reached, and True keys
+        # like 1 under another fingerprint.
+        if type(self.max_encodings) is not int:
+            raise TypeError("max_encodings must be an int")
         if self.max_encodings < 1:
             raise ValueError("max_encodings must be at least 1")
         used: set[str] = set()
@@ -365,17 +353,16 @@ class EncoderConfig:
 
 @lru_cache(maxsize=None)
 def _config_in(directory: Path) -> EncoderConfig:
-    """The directory's tables, then its profile and glyph pairs."""
-    tables = ethiopic._tables_in(directory)
+    """The directory's rule files, each read once: tables, profile, glyph pairs."""
     return EncoderConfig(
+        tables=ethiopic.load_script_tables(directory / "script_tables.txt"),
         profile=load_mistrike_profile(directory / "mistrike_profile.txt"),
         glyph_pairs=load_glyph_pairs(directory / "glyph_pairs.txt"),
-        tables=tables,
     )
 
 
 def _default_config() -> EncoderConfig:
-    """EncoderConfig(), built once per data directory."""
+    """EncoderConfig() with the rules of the current data directory."""
     return _config_in(ethiopic.data_dir())
 
 
@@ -385,9 +372,10 @@ def simplify(word: str, tables: ethiopic.ScriptTables | None = None) -> str:
     Vowel carriers of any order become bare አ. If the head family has no
     member at the source character's column (only the rare ʷ columns),
     the original character is kept so the labiovelar subkind survives;
-    remove_vowels resolves the family then.
+    remove_vowels resolves the family then. Without tables the bundled
+    ones, EncoderConfig().tables, are used.
     """
-    tables = tables or ethiopic.default_tables()
+    tables = tables or _default_config().tables
     out: list[str] = []
     for pos, ch in enumerate(word):
         info = ethiopic.decompose(ch)
@@ -413,10 +401,10 @@ def remove_vowels(word: str, config: EncoderConfig | None = None) -> str:
     remaining ʷ-vowels collapsing to the bare sadis. With wy_as_vowels
     set, non-initial ው and ይ are dropped from the finished key no matter
     which rule emitted them, so equal default keys stay equal. Without
-    a config the default tables are read and ው and ይ are kept.
+    a config, EncoderConfig() is used, which keeps ው and ይ.
     """
-    tables = config.tables if config is not None else ethiopic.default_tables()
-    wy = config.wy_as_vowels if config is not None else False
+    config = config or _default_config()
+    tables = config.tables
     out: list[str] = []
     for pos, ch in enumerate(word):
         info = ethiopic.decompose(ch)
@@ -430,7 +418,7 @@ def remove_vowels(word: str, config: EncoderConfig | None = None) -> str:
         out.append(ethiopic.compose(family, ethiopic.SADIS))
         if info.order == ethiopic.WA:
             out.append(_WAW)
-    if wy:
+    if config.wy_as_vowels:
         out = out[:1] + [c for c in out[1:] if c != _WAW and c != _YOD]
     return "".join(out)
 

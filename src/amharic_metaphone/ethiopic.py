@@ -28,13 +28,16 @@ they are fixed and laid out once, and SUPPORTED, the set of scalars the
 encoder accepts, follows from them alone. A ScriptTables takes only what
 a table file declares (homophone classes and vowel carriers), checks it
 by the file's rules and derives its per-scalar key maps from it.
+
+Every rule file is read through _read_rules. No file is read here by
+default: the bundled rules are EncoderConfig()'s fields, read from
+data_dir() once per directory by the encoder.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Mapping
 
@@ -48,7 +51,6 @@ __all__ = [
     "SyllableInfo",
     "ScriptTables",
     "load_script_tables",
-    "default_tables",
     "data_dir",
     "decompose",
     "compose",
@@ -215,7 +217,7 @@ _SADIS_FORM = {
 
 
 # The rules a table file's records obey. Each raises ValueError with the
-# text a loader reports; load_script_tables adds the file and line, and
+# text a loader reports; _read_rules adds the file and line, and
 # ScriptTables runs the same checks over its fields.
 
 def _family(token: str) -> str:
@@ -239,7 +241,7 @@ def _add_member(member: str, head: str, representative: dict[str, str]) -> None:
 
 
 def data_dir() -> Path:
-    """Directory holding the bundled table files.
+    """Directory holding the rule files a default EncoderConfig reads.
 
     The AMHARIC_METAPHONE_DATA environment variable, read on every
     call, overrides the data/ directory beside this module.
@@ -258,11 +260,13 @@ def _read_text(path: Path, kind: str) -> str:
         raise LoadError(f"not valid UTF-8: {exc}", path=path)
 
 
-def _records(path: Path, sections: tuple[str, ...]):
-    """Yield (line_number, section, tokens) for a table file.
+def _read_rules(path: Path, sections: tuple[str, ...], record) -> None:
+    """Call record(section, tokens) for each record of a rule file.
 
-    A header naming a section outside sections is a LoadError at its
-    own line, whether or not records follow it.
+    The format is line-oriented UTF-8: '#' starts a comment, [section]
+    headers group records, and records are whitespace-separated tokens.
+    A ValueError from record is a LoadError at the record's line, as is
+    a header outside sections or a record before any header.
     """
     text = _read_text(path, "table")
     section = None
@@ -277,56 +281,39 @@ def _records(path: Path, sections: tuple[str, ...]):
             continue
         if section is None:
             raise LoadError("record before any [section] header", path=path, line=lineno)
-        yield lineno, section, line.split()
+        try:
+            record(section, line.split())
+        except ValueError as exc:
+            raise LoadError(str(exc), path=path, line=lineno) from None
 
 
 def load_script_tables(path: Path | str) -> ScriptTables:
-    """Load homophone classes and vowel carriers.
+    """Load a rule file of homophone classes and vowel carriers.
 
-    The file format is line-oriented UTF-8: '#' starts a comment,
-    [section] headers group records, and records are whitespace-separated
-    tokens. See data/script_tables.txt for the grammar in use.
+    A [homophone-classes] record is a head family and its members; a
+    [vowel-carriers] record is one family.
     """
     path = Path(path)
     representative: dict[str, str] = {}
     carriers: set[str] = set()
-    try:
-        sections = ("homophone-classes", "vowel-carriers")
-        for lineno, section, tokens in _records(path, sections):
-            if section == "homophone-classes":
-                if len(tokens) < 2:
-                    raise LoadError("class needs a head and at least one member",
-                                    path=path, line=lineno)
-                for member in tokens[1:]:
-                    _add_member(member, tokens[0], representative)
-            else:  # vowel-carriers
-                if len(tokens) != 1:
-                    raise LoadError("expected one family per record",
-                                    path=path, line=lineno)
-                carriers.add(_family(tokens[0]))
-    except ValueError as exc:
-        raise LoadError(str(exc), path=path, line=lineno) from None
+
+    def record(section: str, tokens: list[str]) -> None:
+        if section == "homophone-classes":
+            if len(tokens) < 2:
+                raise ValueError("class needs a head and at least one member")
+            for member in tokens[1:]:
+                _add_member(member, tokens[0], representative)
+        else:  # vowel-carriers
+            if len(tokens) != 1:
+                raise ValueError("expected one family per record")
+            carriers.add(_family(tokens[0]))
+
+    _read_rules(path, ("homophone-classes", "vowel-carriers"), record)
     # Only the class-head check is left to fail here, and it has no line.
     try:
-        return ScriptTables(
-            representative=representative,
-            vowel_carriers=frozenset(carriers),
-        )
+        return ScriptTables(representative, frozenset(carriers))
     except ValueError as exc:
         raise LoadError(str(exc), path=path) from None
-
-
-@lru_cache(maxsize=None)
-def _tables_in(directory: Path) -> ScriptTables:
-    return load_script_tables(directory / "script_tables.txt")
-
-
-def default_tables() -> ScriptTables:
-    """The bundled script tables (or the AMHARIC_METAPHONE_DATA override).
-
-    Read once per data directory per process.
-    """
-    return _tables_in(data_dir())
 
 
 def _unencodable(word: str, path: Path, line: int, noun: str = "word ") -> LoadError:

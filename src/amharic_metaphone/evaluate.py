@@ -122,10 +122,11 @@ def load_corpus(path: Path | str) -> list[CorpusEntry]:
             )
         canonical = unicodedata.normalize("NFC", parts[0].strip())
         variant = unicodedata.normalize("NFC", parts[1].strip())
-        try:
-            error_type = int(parts[2])
-        except ValueError:
+        # ASCII digits only: int() also reads '٣', '３', '+3' and '0_3'.
+        digits = parts[2].strip()
+        if not (digits.isascii() and digits.isdigit()):
             raise LoadError(f"bad error type {parts[2]!r}", path=path, line=lineno)
+        error_type = int(digits)
         if not 1 <= error_type <= 9:
             raise LoadError(f"error type {error_type} out of range 1-9",
                             path=path, line=lineno)

@@ -33,9 +33,6 @@ PUBLIC_NAMES = [
     "build_index",
     "compose",
     "decompose",
-    "default_glyph_pairs",
-    "default_mistrike_profile",
-    "default_tables",
     "distance",
     "dump_index",
     "encode",
@@ -56,7 +53,7 @@ PUBLIC_NAMES = [
 
 def test_public_surface():
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
-    assert len(PUBLIC_NAMES) == 43
+    assert len(PUBLIC_NAMES) == 40
     assert amharic_metaphone.__all__ == PUBLIC_NAMES
     for module in ("", ".encoder", ".ethiopic", ".evaluate", ".lexicon"):
         mod = importlib.import_module("amharic_metaphone" + module)

@@ -7,6 +7,7 @@ character before being pinned here.
 """
 
 import gc
+import shutil
 import time
 import weakref
 from dataclasses import fields
@@ -23,8 +24,6 @@ from amharic_metaphone.encoder import (
     GlyphPair,
     MistrikeProfile,
     Tier,
-    default_glyph_pairs,
-    default_mistrike_profile,
     encode,
     lcd_mistrike,
     load_glyph_pairs,
@@ -42,8 +41,8 @@ from amharic_metaphone.ethiopic import (
     SADIS,
     SUPPORTED,
     ScriptTables,
+    data_dir,
     decompose,
-    default_tables,
     load_script_tables,
 )
 from amharic_metaphone.evaluate import matches
@@ -66,7 +65,7 @@ def keys_with_tiers(word, config=None):
 def alternates(key, tier, glyph_pairs=None):
     """The keys of one alternate tier that encode() stages for a key."""
     if glyph_pairs is None:
-        glyph_pairs = default_glyph_pairs()
+        glyph_pairs = EncoderConfig().glyph_pairs
     config = EncoderConfig(profile=None, glyph_pairs=glyph_pairs, max_encodings=64)
     encodings = encode(key, config)
     assert encodings.canonical == key
@@ -188,7 +187,7 @@ def test_glyph_pair_initial_flag_restricts_position():
 # --- step 5: shift-slip downgrade -------------------------------------------
 
 def test_lcd_mistrike_replaces_all_shifted_chars_at_once():
-    profile = default_mistrike_profile()
+    profile = EncoderConfig().profile
     assert lcd_mistrike("አልምጽህይ", profile) == "አልምስህይ"
     assert lcd_mistrike("ጥውት", profile) == "ትውት"
     assert lcd_mistrike("ጭጭ", profile) == "ችች"
@@ -197,7 +196,7 @@ def test_lcd_mistrike_replaces_all_shifted_chars_at_once():
 
 def test_lcd_mistrike_is_one_directional():
     # plain chars never upgrade to their shifted partners
-    profile = default_mistrike_profile()
+    profile = EncoderConfig().profile
     assert lcd_mistrike("ስት", profile) == "ስት"
 
 
@@ -280,8 +279,16 @@ def test_encode_stops_enumerating_at_the_cap():
 
 
 def test_config_validates_max_encodings():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_encodings must be at least 1"):
         EncoderConfig(max_encodings=0)
+
+
+@pytest.mark.parametrize("cap", [2.5, float("inf"), True, "16", None])
+def test_config_requires_an_int_cap(cap):
+    # A float cap is never reached, so the walk would grow unbounded;
+    # True would key like 1 under another fingerprint.
+    with pytest.raises(TypeError, match="max_encodings must be an int"):
+        EncoderConfig(max_encodings=cap)
 
 
 def test_config_keeps_its_tables_when_the_data_dir_changes(monkeypatch, tmp_path):
@@ -290,13 +297,16 @@ def test_config_keeps_its_tables_when_the_data_dir_changes(monkeypatch, tmp_path
     tables, bundled = config.tables, config.fingerprint
     path = tmp_path / "script_tables.txt"
     path.write_text("[vowel-carriers]\nአ\n", encoding="utf-8")
+    # An override directory holds every rule file the defaults read.
+    for name in ("mistrike_profile.txt", "glyph_pairs.txt"):
+        shutil.copyfile(data_dir() / name, tmp_path / name)
     monkeypatch.setenv("AMHARIC_METAPHONE_DATA", str(tmp_path))
     assert config.tables is tables
     assert config.fingerprint == bundled
     assert encode("ዓለም", config).canonical == "አልም"
     parts = {"profile": config.profile, "glyph_pairs": config.glyph_pairs}
     override = EncoderConfig(**parts)
-    assert override.tables is default_tables()
+    assert override.tables is EncoderConfig().tables
     assert override.fingerprint != bundled
     assert encode("ዓለም", override).canonical == "ዕልም"
     # The digest depends on the tables' contents, not on which object
@@ -332,7 +342,7 @@ def test_constructors_take_only_what_the_fingerprint_reads():
     assert declared(MistrikeProfile) == ["pairs"]
     # Each declared field moves the fingerprint, so two configs that key
     # words differently cannot share one.
-    tables = default_tables()
+    tables = EncoderConfig().tables
     bundled = {name: getattr(tables, name) for name in declared(ScriptTables)}
     base = EncoderConfig().fingerprint
     for name, value in (("representative", {}), ("vowel_carriers", frozenset("ዐ"))):
@@ -522,9 +532,9 @@ rule_dense_words = st.text(
 staging_configs = st.builds(
     EncoderConfig,
     wy_as_vowels=st.booleans(),
-    profile=st.sampled_from([default_mistrike_profile(), None]),
+    profile=st.sampled_from([EncoderConfig().profile, None]),
     glyph_pairs=st.sampled_from([
-        default_glyph_pairs(),
+        EncoderConfig().glyph_pairs,
         (GlyphPair(a="ፕ", b="ኝ", anywhere=False),),
         (GlyphPair(a="ም", b="ን", anywhere=True), GlyphPair(a="ፕ", b="ኝ", anywhere=True)),
         # ን in a position-0 pair: nasal alternates keep no shared sites.
@@ -715,7 +725,7 @@ _ORACLE_TABLES = {
 @pytest.fixture(scope="module", params=["bundled", *_ORACLE_TABLES])
 def oracle_tables(request, tmp_path_factory):
     if request.param == "bundled":
-        return default_tables()
+        return EncoderConfig().tables
     path = tmp_path_factory.mktemp("tables") / "script_tables.txt"
     path.write_text(_ORACLE_TABLES[request.param], encoding="utf-8")
     return load_script_tables(path)

@@ -6,6 +6,7 @@ plus a vowel suffix that is fully determined by our order code, so any
 wrong (family, order) entry produces a name mismatch.
 """
 
+import shutil
 import unicodedata
 
 import pytest
@@ -14,11 +15,11 @@ from amharic_metaphone import encoder, ethiopic
 from amharic_metaphone.encoder import (
     EncoderConfig,
     GlyphPair,
-    default_glyph_pairs,
-    default_mistrike_profile,
     encode,
     load_glyph_pairs,
     load_mistrike_profile,
+    remove_vowels,
+    simplify,
 )
 from amharic_metaphone.errors import InvalidOrderError, LoadError
 from amharic_metaphone.ethiopic import (
@@ -30,7 +31,6 @@ from amharic_metaphone.ethiopic import (
     data_dir,
     decompose,
     ScriptTables,
-    default_tables,
     load_script_tables,
 )
 from amharic_metaphone.evaluate import load_corpus
@@ -214,7 +214,7 @@ def test_vowel_carriers():
 
 
 def test_homophone_representatives():
-    tables = default_tables()
+    tables = EncoderConfig().tables
     assert tables.representative_of("ሐ") == "ሀ"
     assert tables.representative_of("ኀ") == "ሀ"
     assert tables.representative_of("ሠ") == "ሰ"
@@ -234,8 +234,7 @@ def test_data_dir_env_override(monkeypatch, tmp_path):
 
 def test_bundled_data_is_resolved_once(monkeypatch):
     monkeypatch.delenv("AMHARIC_METAPHONE_DATA", raising=False)
-    for cached in (ethiopic._tables_in, encoder._config_in):
-        cached.cache_clear()
+    encoder._config_in.cache_clear()
     calls = []
     read_text = ethiopic._read_text
 
@@ -250,14 +249,16 @@ def test_bundled_data_is_resolved_once(monkeypatch):
     index = build_index(Lexicon(words=frozenset(words)))
     for word in words[:50]:
         suggest(word, index)
-    assert len(calls) <= 3
-    assert len(set(calls)) == len(calls)
+    for word in words:
+        remove_vowels(simplify(word))
+    data = data_dir()
+    assert calls == [data / "script_tables.txt", data / "mistrike_profile.txt",
+                     data / "glyph_pairs.txt"]
 
 
 def test_defaults_follow_the_data_dir_override(monkeypatch, tmp_path):
     monkeypatch.delenv("AMHARIC_METAPHONE_DATA", raising=False)
-    bundled = (default_tables(), default_mistrike_profile(),
-               default_glyph_pairs(), EncoderConfig())
+    bundled = EncoderConfig()
     (tmp_path / "script_tables.txt").write_text(
         "[homophone-classes]\nሰ ሠ\n[vowel-carriers]\nአ\n", encoding="utf-8")
     (tmp_path / "mistrike_profile.txt").write_text(
@@ -266,18 +267,29 @@ def test_defaults_follow_the_data_dir_override(monkeypatch, tmp_path):
         "[glyph-pairs]\nፕ ኝ initial\n", encoding="utf-8")
     for _ in range(2):
         monkeypatch.setenv("AMHARIC_METAPHONE_DATA", str(tmp_path))
-        tables = default_tables()
-        assert tables.representative == {"ሠ": "ሰ"}
-        assert tables.vowel_carriers == frozenset("አ")
-        assert default_mistrike_profile().pairs == (("ጠ", "ተ"),)
-        assert default_glyph_pairs() == (GlyphPair(a="ፕ", b="ኝ", anywhere=False),)
         config = EncoderConfig()
+        assert config.tables.representative == {"ሠ": "ሰ"}
+        assert config.tables.vowel_carriers == frozenset("አ")
         assert config.profile.pairs == (("ጠ", "ተ"),)
         assert config.glyph_pairs == (GlyphPair(a="ፕ", b="ኝ", anywhere=False),)
+        # ሐ joins no class here; the bundled tables head it with ሀ.
+        assert remove_vowels(simplify("ሐ")) == "ሕ"
         monkeypatch.delenv("AMHARIC_METAPHONE_DATA")
-        assert default_tables() is bundled[0]
-        assert (default_tables(), default_mistrike_profile(),
-                default_glyph_pairs(), EncoderConfig()) == bundled
+        assert EncoderConfig().tables is bundled.tables
+        assert EncoderConfig() == bundled
+
+
+def test_data_dir_override_holds_every_rule_file(monkeypatch, tmp_path):
+    # The override replaces the bundled rules wholesale: a config that
+    # takes only its tables from it still finds the glyph file missing.
+    monkeypatch.delenv("AMHARIC_METAPHONE_DATA", raising=False)
+    for name in ("script_tables.txt", "mistrike_profile.txt"):
+        shutil.copyfile(data_dir() / name, tmp_path / name)
+    monkeypatch.setenv("AMHARIC_METAPHONE_DATA", str(tmp_path))
+    with pytest.raises(LoadError) as exc:
+        EncoderConfig(profile=None, glyph_pairs=())
+    assert exc.value.path == tmp_path / "glyph_pairs.txt"
+    assert str(exc.value) == f"{tmp_path / 'glyph_pairs.txt'}: table file not found"
 
 
 def _load(tmp_path, text):

@@ -71,6 +71,15 @@ def test_load_corpus_rejects_malformed_rows(tmp_path, row):
         assert str(exc.value) == f"{path}:1: non-Ethiopic character 'h' in 'hello'"
 
 
+@pytest.mark.parametrize("field", ["٣", "３", "+3", "0_3", "-3"])
+def test_load_corpus_takes_ascii_digit_error_types(tmp_path, field):
+    # int() would read the first four as type 3 and the last as -3.
+    path = write_corpus(tmp_path, f"ጠዋት\tጧት\t6\nጠዋት\tጧት\t{field}\n")
+    with pytest.raises(LoadError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == f"{path}:2: bad error type {field!r}"
+
+
 def test_load_corpus_reads_no_table_file(monkeypatch, tmp_path):
     # Words are checked against the fixed syllabary, ʷ-series included,
     # so loading needs no script table.
