@@ -27,13 +27,10 @@ from .errors import (
     EmptyCorpusError,
     EmptyWordError,
     InvalidInputError,
-    InvalidOrderError,
     LoadError,
 )
 from .ethiopic import (
     ScriptTables,
-    compose,
-    decompose,
     load_script_tables,
 )
 from .evaluate import (
@@ -73,7 +70,6 @@ __all__ = [
     "EvalReport",
     "GlyphPair",
     "InvalidInputError",
-    "InvalidOrderError",
     "Lexicon",
     "LoadError",
     "MistrikeProfile",
@@ -83,8 +79,6 @@ __all__ = [
     "TypeStats",
     "__version__",
     "build_index",
-    "compose",
-    "decompose",
     "distance",
     "dump_index",
     "encode",

@@ -1,13 +1,15 @@
 """Command-line front end: encode, suggest, index, and evaluate.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
-malformed files, undecodable input, words the encoder rejects).
+malformed files, undecodable input, words the encoder rejects). A reader
+that closes stdout early ends the run quietly with 0, as Unix filters do.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import unicodedata
@@ -287,7 +289,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         return code if isinstance(code, int) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; devnull takes the write.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (AmharicMetaphoneError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,12 +19,12 @@ glyph pairs and the mistrike profile, and its fingerprint digests all
 of them. Each takes only declared facts, checks them by the rules its
 data file obeys, and derives the rest, so two configs with one
 fingerprint key every word alike. No config changes which scalars are
-supported: encode() accepts the fixed set ethiopic.SUPPORTED and takes
-the canonical key from the per-scalar maps compiled into its tables
-(ScriptTables.initial_keys and later_keys), one translate per word.
-simplify() and remove_vowels() spell the two steps out character by
-character; they are the readable reference the compiled maps are
-tested against.
+supported: encode(), simplify() and remove_vowels() accept the fixed
+set ethiopic.SUPPORTED. The two steps are per-scalar maps built once
+with the tables: simplify() translates through ScriptTables.simplified,
+remove_vowels() through initial_stripped and later_stripped, and
+encode() takes the canonical key through the maps that chain the two,
+initial_keys and later_keys, in one translate per word.
 
 Glyph sites come from two partner maps a config builds once from its
 glyph pairs, one for the first key position and one for the rest; the
@@ -50,10 +50,10 @@ from enum import IntEnum
 from functools import cached_property, lru_cache
 from itertools import combinations
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from . import ethiopic
-from .errors import EmptyWordError, InvalidInputError, InvalidOrderError
+from .errors import EmptyWordError, InvalidInputError
 
 __all__ = [
     "Tier",
@@ -70,16 +70,12 @@ __all__ = [
     "encode",
 ]
 
-_ALEF = "አ"  # አ
-_WAW = "ው"   # ው
-_YOD = "ይ"   # ይ
-
 # Nasal alternation: ም and ን trade places before these consonants.
 _NASAL_SWAP = {"ም": "ን", "ን": "ም"}
 _NASAL_TRIGGERS = frozenset({"ብ", "ፍ"})
 
 # Deletes ው and ይ: the wy_as_vowels filter, for str.translate.
-_WY_DELETE = {ord(_WAW): None, ord(_YOD): None}
+_WY_DELETE = {ord("ው"): None, ord("ይ"): None}
 
 # The fingerprint's ʷ-series part. No config can change the series, but
 # saved index dumps store fingerprints, and the digest keeps this part so
@@ -182,13 +178,6 @@ class GlyphPair:
     a: str
     b: str
     anywhere: bool  # False: applies at word-initial position only
-
-    def partner(self, ch: str) -> str | None:
-        if ch == self.a:
-            return self.b
-        if ch == self.b:
-            return self.a
-        return None
 
 
 # The rules a rule file's records obey. Each raises ValueError with the
@@ -363,7 +352,8 @@ def _config_in(directory: Path) -> EncoderConfig:
 
 def _default_config() -> EncoderConfig:
     """EncoderConfig() with the rules of the current data directory."""
-    return _config_in(ethiopic.data_dir())
+    # Absolute, so a relative directory follows the working directory.
+    return _config_in(ethiopic.data_dir().absolute())
 
 
 def simplify(word: str, tables: ethiopic.ScriptTables | None = None) -> str:
@@ -375,21 +365,9 @@ def simplify(word: str, tables: ethiopic.ScriptTables | None = None) -> str:
     remove_vowels resolves the family then. Without tables the bundled
     ones, EncoderConfig().tables, are used.
     """
-    tables = tables or _default_config().tables
-    out: list[str] = []
-    for pos, ch in enumerate(word):
-        info = ethiopic.decompose(ch)
-        if info is None:
-            raise InvalidInputError(ch, pos, word)
-        family = tables.representative_of(info.family)
-        if family in tables.vowel_carriers:
-            out.append(_ALEF)
-            continue
-        try:
-            out.append(ethiopic.compose(family, info.order))
-        except InvalidOrderError:
-            out.append(ch)
-    return "".join(out)
+    # Step 1 maps a scalar alike at the start of a word and after it.
+    step_1 = (tables or _default_config().tables).simplified
+    return _keyed(word, step_1, step_1, False)
 
 
 def remove_vowels(word: str, config: EncoderConfig | None = None) -> str:
@@ -405,22 +383,8 @@ def remove_vowels(word: str, config: EncoderConfig | None = None) -> str:
     """
     config = config or _default_config()
     tables = config.tables
-    out: list[str] = []
-    for pos, ch in enumerate(word):
-        info = ethiopic.decompose(ch)
-        if info is None:
-            raise InvalidInputError(ch, pos, word)
-        family = tables.representative_of(info.family)
-        if family in tables.vowel_carriers:
-            if pos == 0:
-                out.append(_ALEF)
-            continue
-        out.append(ethiopic.compose(family, ethiopic.SADIS))
-        if info.order == ethiopic.WA:
-            out.append(_WAW)
-    if config.wy_as_vowels:
-        out = out[:1] + [c for c in out[1:] if c != _WAW and c != _YOD]
-    return "".join(out)
+    return _keyed(word, tables.initial_stripped, tables.later_stripped,
+                  config.wy_as_vowels)
 
 
 def _nasal_sites(key: str) -> list[tuple[int, str]]:
@@ -480,16 +444,25 @@ def encode(word: str, config: EncoderConfig | None = None) -> EncodingSet:
 
 
 def _canonical(word: str, config: EncoderConfig) -> str:
-    """remove_vowels(simplify(word)) through the tables' compiled maps."""
+    """remove_vowels(simplify(word)) in one pass: initial_keys, later_keys."""
     if not word:
         raise EmptyWordError("cannot encode an empty word")
+    tables = config.tables
+    return _keyed(word, tables.initial_keys, tables.later_keys, config.wy_as_vowels)
+
+
+def _keyed(word: str, initial: Mapping[int, str], later: Mapping[int, str],
+           wy_as_vowels: bool) -> str:
+    """word's first scalar through initial, the rest through later, then
+    the wy_as_vowels filter; InvalidInputError at an unsupported scalar."""
     supported = ethiopic.SUPPORTED
     if not supported.issuperset(word):
         pos = next(i for i, ch in enumerate(word) if ch not in supported)
         raise InvalidInputError(word[pos], pos, word)
-    tables = config.tables
-    key = tables.initial_keys[ord(word[0])] + word[1:].translate(tables.later_keys)
-    if config.wy_as_vowels:
+    if not word:
+        return ""
+    key = initial[ord(word[0])] + word[1:].translate(later)
+    if wy_as_vowels:
         key = key[:1] + key[1:].translate(_WY_DELETE)
     return key
 

@@ -7,10 +7,6 @@ class AmharicMetaphoneError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidOrderError(AmharicMetaphoneError, ValueError):
-    """No syllable exists for the requested (family, order) slot."""
-
-
 class InvalidInputError(AmharicMetaphoneError, ValueError):
     """A word contains a scalar the encoder cannot process.
 

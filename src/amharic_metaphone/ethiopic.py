@@ -27,7 +27,8 @@ The regular rows and the standalone ʷ-series blocks are Unicode layout:
 they are fixed and laid out once, and SUPPORTED, the set of scalars the
 encoder accepts, follows from them alone. A ScriptTables takes only what
 a table file declares (homophone classes and vowel carriers), checks it
-by the file's rules and derives its per-scalar key maps from it.
+by the file's rules and derives the paper's two steps from it, each as
+per-scalar maps, and the canonical key maps that chain them.
 
 Every rule file is read through _read_rules. No file is read here by
 default: the bundled rules are EncoderConfig()'s fields, read from
@@ -41,19 +42,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .errors import InvalidOrderError, LoadError
+from .errors import LoadError
 
 __all__ = [
     "SADIS",
     "WA",
     "OA",
     "SUPPORTED",
-    "SyllableInfo",
     "ScriptTables",
     "load_script_tables",
     "data_dir",
-    "decompose",
-    "compose",
 ]
 
 SADIS = 6
@@ -126,15 +124,6 @@ _ALEF = "አ"
 _WAW = "ው"
 
 
-@dataclass(frozen=True)
-class SyllableInfo:
-    """Decomposition of one syllable: family, vocalic order, source char."""
-
-    family: str
-    order: int
-    char: str
-
-
 @dataclass(frozen=True, eq=False)
 class ScriptTables:
     """Script data driving the encoder.
@@ -145,15 +134,21 @@ class ScriptTables:
     that carry bare vowels. They pass the checks a table file's records
     pass, or the constructor raises ValueError with the loader's text.
 
-    initial_keys and later_keys are derived from these: the
-    str.translate maps from each scalar in SUPPORTED to the fragment it
-    adds to a canonical key at the start of a word and after it
-    (homophone merge plus vowel strip, before the wy_as_vowels filter).
-    Tables compare and hash by identity.
+    Five str.translate maps over SUPPORTED derive from these. Step 1,
+    simplified, takes a scalar to its head at the same order, to bare አ
+    for a carrier, or to itself where the head has no such member (ኋ).
+    Step 2, initial_stripped and later_stripped, takes a carrier to a
+    leading አ or to nothing, anything else to its head's sadis form (+ው
+    for a fourth-order labiovelar). initial_keys and later_keys are step
+    2 after step 1: what a scalar adds to a canonical key, before the
+    wy_as_vowels filter. Tables compare and hash by identity.
     """
 
     representative: Mapping[str, str]
     vowel_carriers: frozenset[str]
+    simplified: Mapping[int, str] = field(init=False, repr=False)
+    initial_stripped: Mapping[int, str] = field(init=False, repr=False)
+    later_stripped: Mapping[int, str] = field(init=False, repr=False)
     initial_keys: Mapping[int, str] = field(init=False, repr=False)
     later_keys: Mapping[int, str] = field(init=False, repr=False)
 
@@ -168,24 +163,31 @@ class ScriptTables:
                 )
         for family in sorted(self.vowel_carriers):
             _family(family)
+        char_at = {slot: ch for ch, slot in _BY_CHAR.items()}
+        simplified: dict[int, str] = {}
         initial: dict[int, str] = {}
         later: dict[int, str] = {}
         for ch, (family, order) in _BY_CHAR.items():
             code = ord(ch)
             head = self.representative_of(family)
             if head in self.vowel_carriers:
-                # Step 1 writes every carrier as bare አ, which step 2
-                # then reads as a syllable of its own.
-                head, order = self.representative_of(_ALEF), 1
-            if head in self.vowel_carriers:
-                initial[code], later[code] = _ALEF, ""
+                simplified[code] = initial[code] = _ALEF
+                later[code] = ""
                 continue
+            simplified[code] = char_at.get((head, order), ch)
             fragment = _SADIS_FORM[head]
             if order == WA:
                 fragment += _WAW
             initial[code] = later[code] = fragment
-        object.__setattr__(self, "initial_keys", initial)
-        object.__setattr__(self, "later_keys", later)
+        # Step 2 after step 1: a carrier reaches step 2 as bare አ.
+        for name, value in (
+            ("simplified", simplified),
+            ("initial_stripped", initial),
+            ("later_stripped", later),
+            ("initial_keys", {c: initial[ord(s)] for c, s in simplified.items()}),
+            ("later_keys", {c: later[ord(s)] for c, s in simplified.items()}),
+        ):
+            object.__setattr__(self, name, value)
 
     def representative_of(self, family: str) -> str:
         return self.representative.get(family, family)
@@ -207,7 +209,6 @@ def _layout() -> dict[str, tuple[str, int]]:
 
 
 _BY_CHAR = _layout()
-_BY_FAMILY = {slot: ch for ch, slot in _BY_CHAR.items()}
 # The scalars the encoder accepts; every other scalar is non-Ethiopic.
 SUPPORTED = frozenset(_BY_CHAR)
 # Each family (its first-order form) -> its sadis form.
@@ -321,21 +322,3 @@ def _unencodable(word: str, path: Path, line: int, noun: str = "word ") -> LoadE
     ch = next(ch for ch in word if ch not in SUPPORTED)
     return LoadError(f"non-Ethiopic character {ch!r} in {noun}{word!r}",
                      path=path, line=line)
-
-
-def decompose(ch: str) -> SyllableInfo | None:
-    """Split one character into (family, order), or None if unsupported."""
-    if len(ch) != 1:
-        raise ValueError(f"expected a single character, got {ch!r}")
-    info = _BY_CHAR.get(ch)
-    if info is None:
-        return None
-    return SyllableInfo(family=info[0], order=info[1], char=ch)
-
-
-def compose(family: str, order: int) -> str:
-    """Return the syllable at (family, order); InvalidOrderError if empty."""
-    ch = _BY_FAMILY.get((family, order))
-    if ch is None:
-        raise InvalidOrderError(f"family {family!r} has no member at order {order}")
-    return ch

@@ -10,9 +10,10 @@ import statistics
 import time
 
 from amharic_metaphone.encoder import EncoderConfig, Tier, encode, remove_vowels, simplify
-from amharic_metaphone.ethiopic import SADIS, SUPPORTED, compose, data_dir, decompose
+from amharic_metaphone.ethiopic import SADIS, SUPPORTED, data_dir
 from amharic_metaphone.evaluate import evaluate, load_corpus, matches
 from amharic_metaphone.lexicon import Lexicon, build_index, distance, suggest
+from oracle import compose, decompose
 
 WY = EncoderConfig(wy_as_vowels=True)
 

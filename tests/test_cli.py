@@ -1,8 +1,8 @@
 """End-to-end tests for the command-line front end.
 
-Everything runs in-process through main() so stdout/stderr and exit
-codes can be asserted exactly; one subprocess test covers the
-`python -m` wiring.
+Most tests run in-process through main() so stdout/stderr and exit
+codes can be asserted exactly; subprocess tests cover the `python -m`
+wiring, undecodable stdin bytes and a reader that closes the pipe.
 """
 
 import errno
@@ -406,6 +406,26 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "ላም\t0\tልም\n"
+
+
+def test_encode_stdin_into_a_closed_pipe_exits_quietly(tmp_path):
+    # The output (about 600 kB) outgrows the pipe's buffer, so the writer
+    # is still writing when the reader closes its end after one line.
+    text = tmp_path / "text.txt"
+    text.write_text("ላም ሰላም ወንበር ዓለም ጧት\n" * 4000, encoding="utf-8")
+    with open(text, "rb") as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "amharic_metaphone.cli", "encode", "--stdin"],
+            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first == "ላም\t0\tልም\n".encode("utf-8")
+    assert (code, err) == (0, b"")
 
 
 def test_undecodable_stdin_is_a_data_error():

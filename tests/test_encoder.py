@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from amharic_metaphone import encoder
 from amharic_metaphone.encoder import (
     EncoderConfig,
@@ -42,7 +43,6 @@ from amharic_metaphone.ethiopic import (
     SUPPORTED,
     ScriptTables,
     data_dir,
-    decompose,
     load_script_tables,
 )
 from amharic_metaphone.evaluate import matches
@@ -147,6 +147,12 @@ def test_remove_vowels_wy_flag_drops_non_initial_w_and_y():
 def test_encode_requires_a_word():
     with pytest.raises(EmptyWordError):
         encode("")
+
+
+def test_steps_keep_the_empty_word():
+    assert simplify("") == ""
+    assert remove_vowels("") == ""
+    assert remove_vowels("", WY) == ""
 
 
 # --- step 3: nasal alternates -----------------------------------------------
@@ -319,6 +325,23 @@ def test_config_keeps_its_tables_when_the_data_dir_changes(monkeypatch, tmp_path
     assert EncoderConfig().fingerprint == bundled
 
 
+def test_relative_data_dir_is_read_against_the_working_directory(monkeypatch, tmp_path):
+    # Each of a/rules and b/rules holds all three rule files; only a's
+    # script tables differ from the bundled ones (no homophone classes).
+    monkeypatch.delenv("AMHARIC_METAPHONE_DATA", raising=False)
+    for name in ("a", "b"):
+        (tmp_path / name / "rules").mkdir(parents=True)
+        for rules in ("script_tables.txt", "mistrike_profile.txt", "glyph_pairs.txt"):
+            shutil.copyfile(data_dir() / rules, tmp_path / name / "rules" / rules)
+    (tmp_path / "a" / "rules" / "script_tables.txt").write_text(
+        "[vowel-carriers]\nአ\n", encoding="utf-8")
+    monkeypatch.setenv("AMHARIC_METAPHONE_DATA", "rules")
+    monkeypatch.chdir(tmp_path / "a")
+    assert encode("ዓለም").canonical == "ዕልም"
+    monkeypatch.chdir(tmp_path / "b")
+    assert encode("ዓለም").canonical == "አልም"
+
+
 def test_config_fingerprint_tracks_settings():
     base = EncoderConfig().fingerprint
     assert base == EncoderConfig().fingerprint
@@ -442,7 +465,7 @@ def test_keys_stay_inside_the_key_alphabet(word, config):
     for entry in encode(word, config):
         assert entry.key
         for pos, ch in enumerate(entry.key):
-            info = decompose(ch)
+            info = oracle.decompose(ch)
             if ch == "አ":
                 assert pos == 0
             else:
@@ -490,6 +513,11 @@ def test_wy_key_is_a_function_of_the_default_key(word):
     assert encode(word, WY).canonical == stripped
 
 
+def _partner(pair, ch):
+    """The other character of a glyph pair, or None if ch is in neither slot."""
+    return {pair.a: pair.b, pair.b: pair.a}.get(ch)
+
+
 def staged_exhaustively(word, config):
     """encode() by the pipeline's definition: stage every alternate of
     every site combination, then keep the first max_encodings unique."""
@@ -502,7 +530,7 @@ def staged_exhaustively(word, config):
                     chars[i] = ch
                 yield "".join(chars)
 
-    canonical = remove_vowels(simplify(word), config)
+    canonical = oracle.remove_vowels(oracle.simplify(word, config.tables), config)
     nasal = {"ም": "ን", "ን": "ም"}
     sites = [(i, nasal[ch]) for i, ch in enumerate(canonical[:-1])
              if ch in nasal and canonical[i + 1] in "ብፍ"]
@@ -510,8 +538,8 @@ def staged_exhaustively(word, config):
     for key, _ in list(staged):
         sites = []
         for i, ch in enumerate(key):
-            partners = [p.partner(ch) for p in config.glyph_pairs
-                        if (p.anywhere or i == 0) and p.partner(ch)]
+            partners = [_partner(p, ch) for p in config.glyph_pairs
+                        if (p.anywhere or i == 0) and _partner(p, ch)]
             if partners:
                 sites.append((i, partners[0]))
         staged += [(k, 2) for k in combos(key, sites)]
@@ -710,10 +738,10 @@ def test_invalid_input_reads_no_data_file(monkeypatch, tmp_path):
         )
 
 
-# --- the compiled canonical key against simplify + remove_vowels ------------
+# --- the per-scalar maps against the per-character oracle ------------------
 
 # The bundled tables, the minimal file, and two tables whose carrier
-# class leaves out አ: simplify writes every carrier as bare አ, which then
+# class leaves out አ: step 1 writes every carrier as bare አ, which then
 # keys as a consonant (እ, or ህ when አ joins the ሀ class).
 _ORACLE_TABLES = {
     "minimal": "# nothing but a comment\n[vowel-carriers]\nአ\n",
@@ -731,19 +759,22 @@ def oracle_tables(request, tmp_path_factory):
     return load_script_tables(path)
 
 
-def _canonical_pair(word, wy, tables):
+def _check_against_the_oracle(word, wy, tables):
+    """simplify, remove_vowels and the canonical key each equal the oracle's."""
     config = EncoderConfig(wy_as_vowels=wy, profile=None, glyph_pairs=(),
                            max_encodings=1, tables=tables)
-    return (encode(word, config).canonical,
-            remove_vowels(simplify(word, tables), config))
+    merged = oracle.simplify(word, tables)
+    assert simplify(word, tables) == merged, word
+    for text in (word, merged):
+        assert remove_vowels(text, config) == oracle.remove_vowels(text, config), text
+    assert encode(word, config).canonical == oracle.remove_vowels(merged, config), word
 
 
 @pytest.mark.parametrize("wy", [False, True])
 def test_compiled_key_matches_the_oracle_for_every_scalar(oracle_tables, wy):
     for ch in sorted(SUPPORTED):
         for word in (ch, ch + ch, "ለ" + ch):
-            compiled, oracle = _canonical_pair(word, wy, oracle_tables)
-            assert compiled == oracle, word
+            _check_against_the_oracle(word, wy, oracle_tables)
 
 
 @settings(max_examples=300)
@@ -752,8 +783,7 @@ def test_compiled_key_matches_the_oracle_on_words(oracle_tables, data, wy):
     word = data.draw(st.text(
         alphabet=st.sampled_from(sorted(SUPPORTED)),
         min_size=1, max_size=12))
-    compiled, oracle = _canonical_pair(word, wy, oracle_tables)
-    assert compiled == oracle
+    _check_against_the_oracle(word, wy, oracle_tables)
 
 
 @given(data=st.data())
@@ -763,12 +793,19 @@ def test_compiled_key_reports_bad_scalars_like_the_oracle(oracle_tables, data):
     assume(bad not in SUPPORTED)
     pos = data.draw(st.integers(0, len(word)))
     word = word[:pos] + bad + word[pos:]
-    with pytest.raises(InvalidInputError) as compiled:
-        encode(word, EncoderConfig(profile=None, tables=oracle_tables))
-    with pytest.raises(InvalidInputError) as oracle:
-        simplify(word, oracle_tables)
-    for exc in (compiled.value, oracle.value):
-        assert (exc.char, exc.position, exc.word) == (bad, pos, word)
+    config = EncoderConfig(profile=None, tables=oracle_tables)
+    calls = (
+        lambda: encode(word, config),
+        lambda: simplify(word, oracle_tables),
+        lambda: remove_vowels(word, config),
+        lambda: oracle.simplify(word, oracle_tables),
+        lambda: oracle.remove_vowels(word, config),
+    )
+    for call in calls:
+        with pytest.raises(InvalidInputError) as exc:
+            call()
+        assert (exc.value.char, exc.value.position, exc.value.word) == (bad, pos, word)
+        assert str(exc.value) == str(InvalidInputError(bad, pos, word))
 
 
 def test_custom_tables_reach_index_suggest_and_matches(tmp_path):

