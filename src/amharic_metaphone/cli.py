@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 from .encoder import EncoderConfig, encode, load_mistrike_profile
 from .errors import AmharicMetaphoneError, InvalidInputError
 from .evaluate import ERROR_TYPE_LABELS, evaluate, load_corpus
-from .lexicon import build_index, dump_index, load_lexicon, suggest
+from .lexicon import build_index, dump_index, load_index, load_lexicon, suggest
 
 # Word separators for --stdin mode: whitespace plus the Ethiopic
 # wordspace and punctuation block (U+1360..U+1368).
@@ -133,8 +133,11 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 def _cmd_suggest(args: argparse.Namespace) -> int:
     config = _config(args)
-    lexicon = load_lexicon(args.lexicon)
-    index = build_index(lexicon, config)
+    if args.index is not None:
+        # suggest() refuses a dump built under other flags.
+        index = load_index(args.index)
+    else:
+        index = build_index(load_lexicon(args.lexicon), config)
     query = _nfc(args.word)
     results = suggest(query, index, config, limit=args.limit)
     if args.format == "jsonl":
@@ -233,11 +236,16 @@ def _build_parser() -> _Parser:
         "suggest", help="rank lexicon words phonetically close to a word",
         description=(
             "Print lexicon words sharing a phonetic key with WORD, one "
-            "'word<TAB>tier<TAB>distance' line each, best first."
+            "'word<TAB>tier<TAB>distance' line each, best first. Give "
+            "exactly one of --lexicon and --index."
         )
     )
     p_suggest.add_argument("word", metavar="WORD")
-    p_suggest.add_argument("--lexicon", required=True, metavar="FILE")
+    p_suggest.add_argument("--lexicon", metavar="FILE",
+                           help="lexicon to index for this query")
+    p_suggest.add_argument("--index", metavar="FILE",
+                           help="index dump written by 'index' under the same "
+                           "--profile and --wy-vowels")
     p_suggest.add_argument(
         "--limit", type=_positive_int, default=10, help="max results (default: 10)"
     )
@@ -283,6 +291,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 args.parser.error("WORD arguments cannot be mixed with --stdin")
             if not args.stdin and not args.words:
                 args.parser.error("at least one WORD is required (or --stdin)")
+        elif args.command == "suggest" and (args.index is None) == (args.lexicon is None):
+            args.parser.error("exactly one of --lexicon and --index is required")
     except SystemExit as exc:
         code = exc.code
         if code is None:

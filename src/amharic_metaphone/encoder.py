@@ -40,7 +40,8 @@ of every canonical key it has seen in a memo on the config, and every
 word with that skeleton gets the same (frozen) set. The memo holds at
 most _KEY_SET_CACHE sets, of canonical keys no longer than
 _MEMO_KEY_SCALARS, and is emptied when full. suggest() and matches()
-walk without it.
+walk without it, and so does build_index(), which groups its words by
+canonical key and walks each key once.
 """
 
 from __future__ import annotations

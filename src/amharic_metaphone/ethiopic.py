@@ -30,7 +30,8 @@ a table file declares (homophone classes and vowel carriers), checks it
 by the file's rules and derives the paper's two steps from it, each as
 per-scalar maps, and the canonical key maps that chain them.
 
-Every rule file is read through _read_rules. No file is read here by
+Every data file is read through _read_lines, a block of lines at a
+time, and every rule file through _read_rules. No file is read here by
 default: the bundled rules are EncoderConfig()'s fields, read from
 data_dir() once per directory by the encoder.
 """
@@ -40,7 +41,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import LoadError
 
@@ -261,6 +262,32 @@ def _read_text(path: Path, kind: str) -> str:
         raise LoadError(f"not valid UTF-8: {exc}", path=path)
 
 
+# Scalars of text that _read_lines splits in one splitlines() call, up to
+# the next "\n": enough to amortise the call, few enough that a block's
+# lines cost little beside the text itself.
+_BLOCK_SCALARS = 1 << 14
+
+
+def _read_lines(path: Path, kind: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of a data file, from 1.
+
+    The lines and numbers are text.splitlines()'s, for the text
+    _read_text returns (so its LoadError texts too), but the split runs
+    one block of about _BLOCK_SCALARS scalars at a time. A block ends
+    just after a "\n", which ends a line however the text breaks lines
+    ("\r\n" included), so only one block's lines are held at once.
+    """
+    text = _read_text(path, kind)
+    lineno = 0
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_SCALARS - 1) + 1 or len(text)
+        for line in text[start:end].splitlines():
+            lineno += 1
+            yield lineno, line
+        start = end
+
+
 def _read_rules(path: Path, sections: tuple[str, ...], record) -> None:
     """Call record(section, tokens) for each record of a rule file.
 
@@ -269,9 +296,8 @@ def _read_rules(path: Path, sections: tuple[str, ...], record) -> None:
     A ValueError from record is a LoadError at the record's line, as is
     a header outside sections or a record before any header.
     """
-    text = _read_text(path, "table")
     section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in _read_lines(path, "table"):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -107,9 +107,8 @@ def load_corpus(path: Path | str) -> list[CorpusEntry]:
     naming the line.
     """
     path = Path(path)
-    text = ethiopic._read_text(path, "corpus")
     entries: list[CorpusEntry] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in ethiopic._read_lines(path, "corpus"):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue

@@ -21,7 +21,6 @@ from .encoder import (
     _canonical,
     _default_config,
     _unique_keys,
-    encode,
 )
 from .errors import ConfigMismatchError, LoadError
 
@@ -41,6 +40,11 @@ _INDEX_MAGIC = "# amharic-metaphone-index v1"
 _NO_FINGERPRINT = "expected: # fingerprint <hex>"
 # The tier tokens dump_index writes. int() would also take "٣", " 1" or "+0".
 _TIERS = {str(int(tier)): tier for tier in Tier}
+_TOKENS = {tier: token for token, tier in _TIERS.items()}
+# Queries longer than this, in scalars, get their bit masks from a
+# bytearray per scalar: linear in the query's length, where OR-ing in
+# one bit at a time is quadratic, but slower on short queries.
+_BYTEWISE_MASKS = 256
 
 
 def distance(a: str, b: str) -> int:
@@ -59,13 +63,9 @@ def _distances(query: str, words: Iterable[str]) -> list[int]:
     """
     if not query:
         return [len(word) for word in words]
-    peq: dict[str, int] = {}
-    bit = 1
-    for ch in query:
-        peq[ch] = peq.get(ch, 0) | bit
-        bit <<= 1
-    mask = bit - 1
-    last = bit >> 1
+    peq = _masks(query)
+    last = 1 << (len(query) - 1)
+    mask = (last << 1) - 1
     scores = []
     for word in words:
         pv, mv, score = mask, 0, len(query)
@@ -86,6 +86,28 @@ def _distances(query: str, words: Iterable[str]) -> list[int]:
             mv = ph & xv
         scores.append(score)
     return scores
+
+
+def _masks(query: str) -> dict[str, int]:
+    """Each scalar of the query -> the mask with bit i set where query[i] is it."""
+    if len(query) <= _BYTEWISE_MASKS:
+        peq: dict[str, int] = {}
+        bit = 1
+        for ch in query:
+            peq[ch] = peq.get(ch, 0) | bit
+            bit <<= 1
+        return peq
+    positions: dict[str, list[int]] = {}
+    for i, ch in enumerate(query):
+        positions.setdefault(ch, []).append(i)
+    size = (len(query) + 7) >> 3
+    peq = {}
+    for ch, where in positions.items():
+        buf = bytearray(size)
+        for i in where:
+            buf[i >> 3] |= 1 << (i & 7)
+        peq[ch] = int.from_bytes(buf, "little")
+    return peq
 
 
 @dataclass(frozen=True)
@@ -148,9 +170,8 @@ def load_lexicon(path: Path | str) -> Lexicon:
     ethiopic.SUPPORTED is a LoadError naming the line.
     """
     path = Path(path)
-    text = ethiopic._read_text(path, "lexicon")
     words: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in ethiopic._read_lines(path, "lexicon"):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -162,12 +183,22 @@ def load_lexicon(path: Path | str) -> Lexicon:
 
 
 def build_index(lexicon: Lexicon, config: EncoderConfig | None = None) -> EncodingIndex:
-    """Index every lexicon word under all keys it encodes to."""
+    """Index every lexicon word under all keys it encodes to.
+
+    The index equals one built by adding each word's encode() entries,
+    words in sorted order (so a bad word raises as there). A key set
+    depends only on the canonical key, so the words are grouped by it
+    and each group's keys are walked once; a walk yields each key once,
+    so every (key, word) pair is set once, at its one tier.
+    """
     config = config or _default_config()
-    index = EncodingIndex(fingerprint=config.fingerprint)
+    groups: dict[str, list[str]] = {}
     for word in sorted(lexicon.words):
-        for entry in encode(word, config):
-            index.add(entry.key, word, entry.tier)
+        groups.setdefault(_canonical(word, config), []).append(word)
+    index = EncodingIndex(fingerprint=config.fingerprint)
+    for canonical, words in groups.items():
+        for key, tier in _unique_keys(canonical, config):
+            index.mapping.setdefault(key, {}).update(dict.fromkeys(words, tier))
     return index
 
 
@@ -211,21 +242,22 @@ def suggest(
 def dump_index(index: EncodingIndex, path: Path | str) -> None:
     """Write the index as sorted key/word/tier lines, reload-ready.
 
-    The lines go to a new file beside the target, which then replaces
-    the target in one step: a write that fails leaves any previous dump
-    as it was and removes its own partial file. An OSError names the
-    target path.
+    After the two header lines, each key's lines go out in one write,
+    so the dump is never held whole in memory. They go to a new file
+    beside the target, which then replaces the target in one step: a
+    write that fails leaves any previous dump as it was and removes its
+    own partial file. An OSError names the target path.
     """
     path = Path(path)
-    lines = [_INDEX_MAGIC, f"# fingerprint {index.fingerprint}"]
-    for key in sorted(index.mapping):
-        bucket = index.mapping[key]
-        for word in sorted(bucket):
-            lines.append(f"{key}\t{word}\t{int(bucket[word])}")
+    mapping = index.mapping
     partial = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(partial, "x", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
+            f.write(f"{_INDEX_MAGIC}\n# fingerprint {index.fingerprint}\n")
+            for key in sorted(mapping):
+                bucket = mapping[key]
+                f.write("".join([f"{key}\t{word}\t{_TOKENS[bucket[word]]}\n"
+                                 for word in sorted(bucket)]))
         os.replace(partial, path)
     except BaseException as exc:
         partial.unlink(missing_ok=True)
@@ -238,20 +270,24 @@ def dump_index(index: EncodingIndex, path: Path | str) -> None:
 def load_index(path: Path | str) -> EncodingIndex:
     """Reload a dump_index() file without re-encoding the lexicon.
 
-    A word holding a character outside ethiopic.SUPPORTED is a LoadError
-    naming the line, as in load_lexicon().
+    The file is read a block of lines at a time, so loading holds its
+    text and the index, not a copy of every line. A word holding a
+    character outside ethiopic.SUPPORTED is a LoadError naming the line,
+    as in load_lexicon(). Each word is checked once, on its first line,
+    and every line of that word shares one string.
     """
     path = Path(path)
-    lines = ethiopic._read_text(path, "index").splitlines()
-    if not lines or lines[0].strip() != _INDEX_MAGIC:
+    lines = ethiopic._read_lines(path, "index")
+    if next(lines, (1, ""))[1].strip() != _INDEX_MAGIC:
         raise LoadError("not an index dump (bad header)", path=path, line=1)
     # Without its fingerprint a dump could not be checked against the
     # query's config, so a missing or empty one is a malformed file.
-    fields = lines[1].split() if len(lines) > 1 else []
+    fields = next(lines, (2, ""))[1].split()
     if len(fields) != 3 or fields[:2] != ["#", "fingerprint"]:
         raise LoadError(_NO_FINGERPRINT, path=path, line=2)
     index = EncodingIndex(fingerprint=fields[2])
-    for lineno, line in enumerate(lines[2:], start=3):
+    seen: dict[str, str] = {}
+    for lineno, line in lines:
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -260,10 +296,13 @@ def load_index(path: Path | str) -> EncodingIndex:
         key, word, tier_token = parts
         if not key or not word:
             raise LoadError(f"empty {'word' if key else 'key'}", path=path, line=lineno)
-        if not ethiopic.SUPPORTED.issuperset(word):
-            raise ethiopic._unencodable(word, path, lineno)
+        shared = seen.get(word)
+        if shared is None:
+            if not ethiopic.SUPPORTED.issuperset(word):
+                raise ethiopic._unencodable(word, path, lineno)
+            seen[word] = shared = word
         tier = _TIERS.get(tier_token)
         if tier is None:
             raise LoadError(f"bad tier {tier_token!r}", path=path, line=lineno)
-        index.add(key, word, tier)
+        index.add(key, shared, tier)
     return index

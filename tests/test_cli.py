@@ -278,8 +278,13 @@ def test_suggest_limit_and_jsonl(capsys):
     ]
 
 
-def test_suggest_usage_errors(capsys):
-    assert run(capsys, "suggest", "ሊም")[0] == 1  # --lexicon is required
+def test_suggest_usage_errors(capsys, tmp_path):
+    # Exactly one of --lexicon and --index.
+    assert run(capsys, "suggest", "ሊም")[0] == 1
+    code, _, err = run(capsys, "suggest", "--lexicon", LEXICON,
+                       "--index", str(tmp_path / "index.txt"), "ሊም")
+    assert code == 1
+    assert "exactly one of --lexicon and --index" in err
     assert run(capsys, "suggest", "--lexicon", LEXICON, "--limit", "0", "ሊም")[0] == 1
     assert run(capsys, "suggest", "--lexicon", LEXICON)[0] == 1  # no word
 
@@ -288,6 +293,46 @@ def test_suggest_missing_lexicon_is_a_data_error(capsys, tmp_path):
     code, _, err = run(capsys, "suggest", "--lexicon", str(tmp_path / "no.txt"), "ሊም")
     assert code == 2
     assert "not found" in err
+
+
+@pytest.mark.parametrize("config, output", [
+    ([], []),
+    (["--wy-vowels"], []),
+    (["--profile", "none"], []),
+    ([], ["--limit", "2", "--format", "jsonl"]),
+])
+def test_suggest_from_a_saved_index_prints_what_the_lexicon_does(
+        capsys, tmp_path, config, output):
+    dump = str(tmp_path / "index.txt")
+    assert run(capsys, "index", "--lexicon", LEXICON, "--out", dump, *config)[0] == 0
+    flags = config + output
+    for word in ("ሊም", "ወምበር", "ሆኖአል"):
+        from_lexicon = run(capsys, "suggest", "--lexicon", LEXICON, *flags, word)
+        assert from_lexicon[0] == 0
+        assert run(capsys, "suggest", "--index", dump, *flags, word) == from_lexicon
+
+
+def test_suggest_refuses_a_dump_built_under_other_flags(capsys, tmp_path):
+    dump = str(tmp_path / "index.txt")
+    run(capsys, "index", "--lexicon", LEXICON, "--out", dump)
+    code, out, err = run(capsys, "suggest", "--index", dump, "--wy-vowels", "ሊም")
+    assert (code, out) == (2, "")
+    assert err == ("error: index was built under a different encoder config; "
+                   "rebuild it\n")
+
+
+def test_suggest_refuses_a_dump_without_a_fingerprint(capsys, tmp_path):
+    dump = tmp_path / "index.txt"
+    dump.write_text("# amharic-metaphone-index v1\nልም\tላም\t0\n", encoding="utf-8")
+    code, out, err = run(capsys, "suggest", "--index", str(dump), "ሊም")
+    assert (code, out) == (2, "")
+    assert err == f"error: {dump}:2: expected: # fingerprint <hex>\n"
+
+
+def test_suggest_refuses_a_file_that_is_no_dump(capsys, tmp_path):
+    code, out, err = run(capsys, "suggest", "--index", LEXICON, "ሊም")
+    assert (code, out) == (2, "")
+    assert err == f"error: {LEXICON}:1: not an index dump (bad header)\n"
 
 
 # --- index ------------------------------------------------------------------

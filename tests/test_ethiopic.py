@@ -10,6 +10,8 @@ import shutil
 import unicodedata
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from amharic_metaphone import encoder, ethiopic
 from amharic_metaphone.encoder import (
@@ -378,6 +380,30 @@ def test_load_reports_missing_file(tmp_path):
         with pytest.raises(LoadError) as exc:
             load(undecodable)
         assert str(exc.value).startswith(f"{undecodable}: not valid UTF-8: ")
+
+
+# Every boundary str.splitlines() knows. The reader translates "\r" and
+# "\r\n" to "\n" before any block is cut, and a block ends only after a
+# "\n", so no boundary straddles two blocks either way.
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                "\x85", "\u2028", "\u2029"]
+
+
+@settings(max_examples=300)
+@given(pieces=st.lists(st.sampled_from(_LINE_BREAKS + ["ለ", "ሎ", "ም", " "]),
+                       max_size=40),
+       block=st.integers(1, 8))
+@example(pieces=[], block=1)
+@example(pieces=["ለ", "\n", "ም", "ሎ"], block=1)   # no final newline
+@example(pieces=["ለ", "\r", "\n", "ም"], block=2)  # "\r\n" across a block edge
+def test_read_lines_splits_like_splitlines(tmp_path_factory, pieces, block):
+    text = "".join(pieces)
+    path = tmp_path_factory.getbasetemp() / "read_lines.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ethiopic, "_BLOCK_SCALARS", block)
+        lines = list(ethiopic._read_lines(path, "lexicon"))
+    assert lines == list(enumerate(text.splitlines(), start=1))
 
 
 def test_load_accepts_minimal_file(tmp_path):

@@ -1,11 +1,14 @@
 """Tests for lexicon loading, the inverted index, and suggestions."""
 
+import gc
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amharic_metaphone import lexicon
 from amharic_metaphone.encoder import EncoderConfig, Tier, encode
 from amharic_metaphone.errors import (
     ConfigMismatchError,
@@ -23,7 +26,7 @@ from amharic_metaphone.lexicon import (
     suggest,
 )
 from test_distance import reference
-from test_encoder import _RULE_PARTNERS, rule_dense_words
+from test_encoder import _RULE_PARTNERS, rule_dense_words, staging_configs
 
 WY = EncoderConfig(wy_as_vowels=True)
 
@@ -191,6 +194,30 @@ def test_suggest_returns_at_once_when_no_word_shares_a_key():
     assert time.perf_counter() - start < 1.0
 
 
+def test_suggest_builds_a_long_query_masks_in_linear_time():
+    # The query's key, አ, is the lexicon word's key: its masks are built
+    # and one word scored. A bit at a time, that took seconds.
+    index = build_index(make_lexicon("አ"))
+    start = time.perf_counter()
+    (hit,) = suggest("አ" * 400_000, index)
+    assert (hit.word, hit.distance) == ("አ", 399_999)
+    assert time.perf_counter() - start < 1.0
+
+
+def _bitwise_masks(query):
+    peq = {}
+    for i, ch in enumerate(query):
+        peq[ch] = peq.get(ch, 0) | 1 << i
+    return peq
+
+
+@given(query=st.text(alphabet=st.sampled_from("አለምa\U0001F600"),
+                     min_size=lexicon._BYTEWISE_MASKS - 2,
+                     max_size=lexicon._BYTEWISE_MASKS + 9))
+def test_both_mask_builds_agree_around_the_switch(query):
+    assert lexicon._masks(query) == _bitwise_masks(query)
+
+
 # --- persistence ------------------------------------------------------------
 
 def test_dump_and_load_round_trip(tmp_path):
@@ -216,6 +243,9 @@ def test_load_index_keeps_the_best_tier_of_repeated_lines(tmp_path):
                              "ልን": {"ላም": Tier.PHONOLOGICAL}}
     assert all(type(t) is Tier for bucket in index.mapping.values()
                for t in bucket.values())
+    # Every line of a word shares one string.
+    (word_m,), (word_n,) = index.mapping.values()
+    assert word_m is word_n
 
 
 def test_dump_is_deterministic(tmp_path):
@@ -237,6 +267,49 @@ def test_failed_dump_keeps_the_previous_one(tmp_path):
         dump_index(broken, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["index.txt"]
+
+
+def _synthetic_index():
+    """About 20k entries over 13.3k words: three words to a canonical key,
+    every other word under an alternate key as well."""
+    letters = sorted(SUPPORTED)
+
+    def spell(n, size):
+        return "".join(letters[(n // len(letters) ** i) % len(letters)]
+                       for i in range(size))
+
+    index = EncodingIndex(fingerprint=EncoderConfig().fingerprint)
+    for n in range(13_334):
+        word = spell(n, 5)
+        index.add(spell(n // 3, 4), word, Tier.CANONICAL)
+        if n % 2:
+            index.add(spell(n // 6, 3), word, Tier.GLYPH)
+    return index
+
+
+def _traced(call):
+    """call()'s result and the peak of its allocations above what it keeps."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - kept
+
+
+def test_index_set_up_holds_no_copy_of_every_line(tmp_path):
+    index = _synthetic_index()
+    path = tmp_path / "index.txt"
+    _, dumping = _traced(lambda: dump_index(index, path))
+    size = path.stat().st_size
+    # A key's lines at a time, not the dump whole.
+    assert dumping < size / 2
+    loaded, loading = _traced(lambda: load_index(path))
+    assert loaded == index
+    # The file's text and a block of its lines, not a list of every line.
+    assert loading < 2 * size
 
 
 def test_load_index_rejects_bad_files(tmp_path):
@@ -322,6 +395,23 @@ def test_load_index_reads_no_table_file(monkeypatch, tmp_path):
 ethiopic_words = st.text(
     alphabet=st.sampled_from(sorted(SUPPORTED)), min_size=1, max_size=5
 )
+
+
+def built_word_by_word(words, config):
+    index = EncodingIndex(fingerprint=config.fingerprint)
+    for word in sorted(words):
+        for entry in encode(word, config):
+            index.add(entry.key, word, entry.tier)
+    return index
+
+
+@settings(max_examples=200)
+@given(words=st.sets(rule_dense_words, min_size=1, max_size=12),
+       config=staging_configs | st.builds(EncoderConfig, wy_as_vowels=st.booleans(),
+                                          max_encodings=st.integers(1, 3)))
+def test_build_index_matches_a_word_by_word_build(words, config):
+    assert build_index(Lexicon(words=frozenset(words)), config) == (
+        built_word_by_word(words, config))
 
 
 @given(words=st.sets(ethiopic_words, min_size=1, max_size=8))
