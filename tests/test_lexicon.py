@@ -185,6 +185,16 @@ def test_suggest_checks_a_hand_built_index(tmp_path):
     assert load_index(path) == index
 
 
+def test_a_hand_built_tier_outside_the_tiers_is_refused_on_load(tmp_path):
+    index = EncodingIndex({"ልም": {"ላም": 7}},
+                          fingerprint=EncoderConfig().fingerprint)
+    path = tmp_path / "index.txt"
+    dump_index(index, path)
+    with pytest.raises(LoadError) as exc:
+        load_index(path)
+    assert str(exc.value) == f"{path}:3: bad tier '7'"
+
+
 def test_suggest_returns_at_once_when_no_word_shares_a_key():
     # The query's only key, ል, is no bundled word's key: building the
     # query's bit masks would take seconds at this length.
@@ -211,10 +221,16 @@ def _bitwise_masks(query):
     return peq
 
 
-@given(query=st.text(alphabet=st.sampled_from("አለምa\U0001F600"),
-                     min_size=lexicon._BYTEWISE_MASKS - 2,
-                     max_size=lexicon._BYTEWISE_MASKS + 9))
-def test_both_mask_builds_agree_around_the_switch(query):
+_MASK_SCALARS = st.sampled_from("አለምa\U0001F600")
+
+
+@given(filler=_MASK_SCALARS,
+       head=st.integers(lexicon._BYTEWISE_MASKS - 16, lexicon._BYTEWISE_MASKS + 8),
+       tail=st.text(alphabet=_MASK_SCALARS, max_size=16))
+def test_both_mask_builds_agree_around_the_switch(filler, head, tail):
+    # Lengths run from 16 below the switch to 24 above it; the varied
+    # tail starts at every bit offset of a byte.
+    query = filler * head + tail
     assert lexicon._masks(query) == _bitwise_masks(query)
 
 
