@@ -12,28 +12,17 @@ import json
 import os
 import re
 import sys
-import unicodedata
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from .encoder import EncoderConfig, encode, load_mistrike_profile
-from .errors import AmharicMetaphoneError, InvalidInputError
+from .errors import AmharicMetaphoneError, ConfigMismatchError, InvalidInputError
 from .evaluate import ERROR_TYPE_LABELS, evaluate, load_corpus
 from .lexicon import build_index, dump_index, load_index, load_lexicon, suggest
 
 # Word separators for --stdin mode: whitespace plus the Ethiopic
 # wordspace and punctuation block (U+1360..U+1368).
 _SEPARATORS = re.compile(r"[\s፠-፨]+")
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; this front end reserves 2 for
-    data errors, so usage problems are remapped to exit 1."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _positive_int(text: str) -> int:
@@ -79,25 +68,20 @@ def _config(args: argparse.Namespace) -> EncoderConfig:
     return EncoderConfig(wy_as_vowels=args.wy_vowels, profile=profile)
 
 
-def _nfc(text: str) -> str:
-    return unicodedata.normalize("NFC", text)
-
-
 def _stdin_words() -> Iterator[str]:
     """The tokens of standard input, read one line at a time.
 
-    _SEPARATORS holds every line break, so no token spans two lines,
-    and NFC never joins characters across one.
+    _SEPARATORS holds every line break, so no token spans two lines.
     """
     for line in sys.stdin:
-        for token in _SEPARATORS.split(_nfc(line)):
+        for token in _SEPARATORS.split(line):
             if token:
                 yield token
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     config = _config(args)
-    words = _stdin_words() if args.stdin else [_nfc(w) for w in args.words]
+    words = _stdin_words() if args.stdin else args.words
     # Each output line leaves in one write, newline included (print()
     # makes two). Batching lines into fewer writes would change what
     # perfbench's stream-encode times, since it stamps each line end.
@@ -138,11 +122,14 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
         index = load_index(args.index)
     else:
         index = build_index(load_lexicon(args.lexicon), config)
-    query = _nfc(args.word)
-    results = suggest(query, index, config, limit=args.limit)
+    try:
+        results = suggest(args.word, index, config, limit=args.limit)
+    except ConfigMismatchError as exc:
+        # Only a loaded dump can mismatch; name it, as its LoadErrors do.
+        raise ConfigMismatchError(f"{args.index}: {exc}") from None
     if args.format == "jsonl":
         record = {
-            "word": query,
+            "word": args.word,
             "suggestions": [
                 {"word": s.word, "tier": int(s.match_tier), "distance": s.distance}
                 for s in results
@@ -208,8 +195,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="amharic-metaphone",
         description="Phonetic keys and fuzzy dictionary lookup for Amharic.",
     )
@@ -225,8 +212,9 @@ def _build_parser() -> _Parser:
     p_encode.add_argument(
         "--stdin",
         action="store_true",
-        help="read words from standard input; non-Ethiopic tokens are "
-        "passed through with tier '-'",
+        help="read words from standard input; tokens holding a scalar the "
+        "encoder does not support pass through as written, flagged with "
+        "tier '-'",
     )
     _add_config_flags(p_encode)
     _add_format_flag(p_encode)
@@ -294,10 +282,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif args.command == "suggest" and (args.index is None) == (args.lexicon is None):
             args.parser.error("exactly one of --lexicon and --index is required")
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 1
+        # argparse exits 2 on a usage error (after printing it) and 0
+        # after --help; this front end reserves 2 for data errors.
+        return 1 if exc.code else 0
     try:
         code = args.func(args)
         sys.stdout.flush()  # so a closed pipe raises here, not at exit

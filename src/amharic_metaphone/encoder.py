@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import Iterator, Mapping
 
 from . import ethiopic
-from .errors import EmptyWordError, InvalidInputError
+from .errors import EmptyWordError
 
 __all__ = [
     "Tier",
@@ -456,10 +456,8 @@ def _keyed(word: str, initial: Mapping[int, str], later: Mapping[int, str],
            wy_as_vowels: bool) -> str:
     """word's first scalar through initial, the rest through later, then
     the wy_as_vowels filter; InvalidInputError at an unsupported scalar."""
-    supported = ethiopic.SUPPORTED
-    if not supported.issuperset(word):
-        pos = next(i for i, ch in enumerate(word) if ch not in supported)
-        raise InvalidInputError(word[pos], pos, word)
+    if not ethiopic.SUPPORTED.issuperset(word):
+        raise ethiopic._unsupported(word)
     if not word:
         return ""
     key = initial[ord(word[0])] + word[1:].translate(later)

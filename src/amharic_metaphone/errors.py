@@ -21,7 +21,7 @@ class InvalidInputError(AmharicMetaphoneError, ValueError):
         self.word = word
         where = f" in {word!r}" if word else ""
         super().__init__(
-            f"non-Ethiopic scalar {char!r} (U+{ord(char):04X}) "
+            f"unsupported scalar {char!r} (U+{ord(char):04X}) "
             f"at position {position}{where}"
         )
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from .errors import LoadError
+from .errors import InvalidInputError, LoadError
 
 __all__ = [
     "SADIS",
@@ -210,7 +210,7 @@ def _layout() -> dict[str, tuple[str, int]]:
 
 
 _BY_CHAR = _layout()
-# The scalars the encoder accepts; every other scalar is non-Ethiopic.
+# The scalars the encoder accepts; every other scalar is unsupported.
 SUPPORTED = frozenset(_BY_CHAR)
 # Each family (its first-order form) -> its sadis form.
 _SADIS_FORM = {
@@ -343,8 +343,9 @@ def load_script_tables(path: Path | str) -> ScriptTables:
         raise LoadError(str(exc), path=path) from None
 
 
-def _unencodable(word: str, path: Path, line: int, noun: str = "word ") -> LoadError:
-    """The LoadError for a word in a data file that holds an unsupported scalar."""
-    ch = next(ch for ch in word if ch not in SUPPORTED)
-    return LoadError(f"non-Ethiopic character {ch!r} in {noun}{word!r}",
-                     path=path, line=line)
+def _unsupported(word: str) -> InvalidInputError:
+    """The error for a word holding a scalar outside SUPPORTED: it names
+    the first such scalar, its position and its code point. A loader
+    raises its text as a LoadError at the word's line."""
+    pos = next(i for i, ch in enumerate(word) if ch not in SUPPORTED)
+    return InvalidInputError(word[pos], pos, word)

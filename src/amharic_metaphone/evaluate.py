@@ -8,7 +8,6 @@ they are reported in their own bucket and stay out of the headline rate.
 
 from __future__ import annotations
 
-import unicodedata
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
@@ -103,13 +102,12 @@ class EvalReport:
 def load_corpus(path: Path | str) -> list[CorpusEntry]:
     """Read corpus rows: canonical TAB variant TAB type [TAB expected_fail].
 
-    A word holding a character outside ethiopic.SUPPORTED is a LoadError
+    A word holding a scalar outside ethiopic.SUPPORTED is a LoadError
     naming the line.
     """
     path = Path(path)
     entries: list[CorpusEntry] = []
-    for lineno, raw in ethiopic._read_lines(path, "corpus"):
-        line = raw.rstrip("\n")
+    for lineno, line in ethiopic._read_lines(path, "corpus"):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
@@ -119,8 +117,8 @@ def load_corpus(path: Path | str) -> list[CorpusEntry]:
                 path=path,
                 line=lineno,
             )
-        canonical = unicodedata.normalize("NFC", parts[0].strip())
-        variant = unicodedata.normalize("NFC", parts[1].strip())
+        canonical = parts[0].strip()
+        variant = parts[1].strip()
         # ASCII digits only: int() also reads '٣', '３', '+3' and '0_3'.
         digits = parts[2].strip()
         if not (digits.isascii() and digits.isdigit()):
@@ -138,7 +136,7 @@ def load_corpus(path: Path | str) -> list[CorpusEntry]:
             if not word:
                 raise LoadError("empty word", path=path, line=lineno)
             if not ethiopic.SUPPORTED.issuperset(word):
-                raise ethiopic._unencodable(word, path, lineno, noun="")
+                raise LoadError(str(ethiopic._unsupported(word)), path=path, line=lineno)
         entries.append(CorpusEntry(canonical, variant, error_type, expected_fail))
     return entries
 

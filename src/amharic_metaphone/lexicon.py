@@ -9,7 +9,6 @@ itself.
 from __future__ import annotations
 
 import os
-import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -167,18 +166,17 @@ class EncodingIndex:
 def load_lexicon(path: Path | str) -> Lexicon:
     """Read one word per line; '#' comments and blank lines are skipped.
 
-    Words are NFC-normalized. A line holding a character outside
-    ethiopic.SUPPORTED is a LoadError naming the line.
+    A line holding a scalar outside ethiopic.SUPPORTED is a LoadError
+    naming the line.
     """
     path = Path(path)
     words: set[str] = set()
     for lineno, raw in ethiopic._read_lines(path, "lexicon"):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        word = raw.split("#", 1)[0].strip()
+        if not word:
             continue
-        word = unicodedata.normalize("NFC", line)
         if not ethiopic.SUPPORTED.issuperset(word):
-            raise ethiopic._unencodable(word, path, lineno)
+            raise LoadError(str(ethiopic._unsupported(word)), path=path, line=lineno)
         words.add(word)
     return Lexicon(words=frozenset(words))
 
@@ -222,7 +220,8 @@ def suggest(
     config = config or _default_config()
     if index.fingerprint != config.fingerprint:
         raise ConfigMismatchError(
-            "index was built under a different encoder config; rebuild it"
+            "index was built under a different encoder config (index "
+            f"{index.fingerprint}, query {config.fingerprint}); rebuild it"
         )
     best: dict[str, Tier] = {}
     for key, query_tier in _unique_keys(_canonical(query, config), config):
@@ -273,7 +272,7 @@ def load_index(path: Path | str) -> EncodingIndex:
 
     The file is read a block of lines at a time, so loading holds its
     text and the index, not a copy of every line. A word holding a
-    character outside ethiopic.SUPPORTED is a LoadError naming the line,
+    scalar outside ethiopic.SUPPORTED is a LoadError naming the line,
     as in load_lexicon(). Each word is checked once, on its first line,
     and every line of that word shares one string.
     """
@@ -300,7 +299,7 @@ def load_index(path: Path | str) -> EncodingIndex:
         shared = seen.get(word)
         if shared is None:
             if not ethiopic.SUPPORTED.issuperset(word):
-                raise ethiopic._unencodable(word, path, lineno)
+                raise LoadError(str(ethiopic._unsupported(word)), path=path, line=lineno)
             seen[word] = shared = word
         tier = _TIERS.get(tier_token)
         if tier is None:

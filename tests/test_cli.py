@@ -2,7 +2,8 @@
 
 Most tests run in-process through main() so stdout/stderr and exit
 codes can be asserted exactly; subprocess tests cover the `python -m`
-wiring, undecodable stdin bytes and a reader that closes the pipe.
+wiring, undecodable stdin bytes, a reader that closes the pipe and the
+modules the CLI imports.
 """
 
 import errno
@@ -11,11 +12,12 @@ import json
 import os
 import subprocess
 import sys
+import unicodedata
 
 import pytest
 
-from amharic_metaphone.cli import main
-from amharic_metaphone.ethiopic import data_dir
+from amharic_metaphone.cli import _SEPARATORS, main
+from amharic_metaphone.ethiopic import SUPPORTED, data_dir
 
 LEXICON = str(data_dir() / "lexicon.txt")
 CORPUS = str(data_dir() / "corpus.tsv")
@@ -61,6 +63,31 @@ def test_encode_rejects_words_mixed_with_stdin(capsys, monkeypatch):
     code, _, err = run(capsys, "encode", "--stdin", "ላም", stdin="", monkeypatch=monkeypatch)
     assert code == 1
     assert "--stdin" in err
+
+
+def test_usage_errors_print_argparse_text_and_exit_one(capsys, monkeypatch):
+    # argparse wraps the usage line to the terminal's width.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, "suggest", "--lexicon", LEXICON, "--limit", "0", "ሊም") == (
+        1, "",
+        "usage: amharic-metaphone suggest [-h] [--lexicon FILE] [--index FILE]\n"
+        "                                 [--limit LIMIT] [--profile PATH|none]\n"
+        "                                 [--wy-vowels] [--format {text,jsonl}]\n"
+        "                                 WORD\n"
+        "amharic-metaphone suggest: error: argument --limit: must be at least 1\n",
+    )
+    assert run(capsys, "encode") == (
+        1, "",
+        "usage: amharic-metaphone encode [-h] [--stdin] [--profile PATH|none]\n"
+        "                                [--wy-vowels] [--format {text,jsonl}]\n"
+        "                                [WORD ...]\n"
+        "amharic-metaphone encode: error: at least one WORD is required (or --stdin)\n",
+    )
+    assert run(capsys, "encode", "--nope", "ላም") == (
+        1, "",
+        "usage: amharic-metaphone [-h] command ...\n"
+        "amharic-metaphone: error: unrecognized arguments: --nope\n",
+    )
 
 
 def test_unknown_flag_and_missing_subcommand_exit_one(capsys):
@@ -126,6 +153,47 @@ def test_encode_stdin_jsonl_flags_passthrough(capsys, monkeypatch):
     assert code == 0
     records = [json.loads(line) for line in out.splitlines()]
     assert records[1] == {"word": "hello", "ethiopic": False, "encodings": []}
+
+
+def test_encode_stdin_echoes_a_refused_token_as_written(capsys, monkeypatch):
+    # A decomposed é: NFC would compose it, and the echo would differ.
+    token = "Abe\u0301be"
+    for flags, echo in (
+        ((), f"{token}\t-\t{token}\n"),
+        (("--format", "jsonl"),
+         f'{{"word": "{token}", "ethiopic": false, "encodings": []}}\n'),
+    ):
+        code, out, err = run(capsys, "encode", "--stdin", *flags,
+                             stdin=f"{token}\n", monkeypatch=monkeypatch)
+        assert (code, out.encode("utf-8"), err) == (0, echo.encode("utf-8"), "")
+
+
+def test_nfc_would_change_no_accepted_word_and_no_token_boundary():
+    # Words are taken as written. By UAX #15, NFC would change nothing
+    # the encoder accepts or refuses, and move no token boundary, while
+    # these hold: an accepted scalar neither decomposes nor combines, no
+    # canonical decomposition holds one (so none is ever composed), every
+    # separator is a starter, and the canonical decompositions that hold
+    # a separator only map a separator to a separator.
+    def separator(ch):
+        return _SEPARATORS.fullmatch(ch) is not None
+
+    for ch in SUPPORTED:
+        assert (unicodedata.decomposition(ch), unicodedata.combining(ch)) == ("", 0)
+    with_separators = {}
+    for code_point in range(0x110000):
+        ch = chr(code_point)
+        if separator(ch):
+            assert unicodedata.combining(ch) == 0, ch
+        fields = unicodedata.decomposition(ch).split()
+        if not fields or fields[0].startswith("<"):
+            continue  # none, or a compatibility decomposition
+        parts = "".join(chr(int(field, 16)) for field in fields)
+        assert SUPPORTED.isdisjoint(parts), ch
+        if separator(ch) or any(map(separator, parts)):
+            with_separators[ch] = parts
+    assert with_separators == {"\u2000": "\u2002", "\u2001": "\u2003"}
+    assert all(map(separator, "\u2000\u2001\u2002\u2003"))
 
 
 # Line breaks (\r\n, blank lines), Ethiopic punctuation, a Latin name,
@@ -317,7 +385,8 @@ def test_suggest_refuses_a_dump_built_under_other_flags(capsys, tmp_path):
     run(capsys, "index", "--lexicon", LEXICON, "--out", dump)
     code, out, err = run(capsys, "suggest", "--index", dump, "--wy-vowels", "ሊም")
     assert (code, out) == (2, "")
-    assert err == ("error: index was built under a different encoder config; "
+    assert err == (f"error: {dump}: index was built under a different encoder "
+                   "config (index c3b6d1e3774e103d, query 0cb3cc46431bf323); "
                    "rebuild it\n")
 
 
@@ -451,6 +520,18 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "ላም\t0\tልም\n"
+
+
+def test_importing_the_cli_loads_no_unicodedata():
+    # The CLI normalizes no text, so nothing it imports needs the
+    # Unicode database.
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, amharic_metaphone.cli; print('unicodedata' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
 
 def test_encode_stdin_into_a_closed_pipe_exits_quietly(tmp_path):

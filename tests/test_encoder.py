@@ -734,8 +734,22 @@ def test_invalid_input_reads_no_data_file(monkeypatch, tmp_path):
         with pytest.raises(InvalidInputError) as exc:
             call()
         assert str(exc.value) == (
-            "non-Ethiopic scalar 'x' (U+0078) at position 1 in 'ላx'"
+            "unsupported scalar 'x' (U+0078) at position 1 in 'ላx'"
         )
+
+
+def test_ethiopic_scalars_outside_the_grid_are_unsupported():
+    # RYA and the digits are Ethiopic but have no family/order slot; the
+    # refusal names them as unsupported, not as foreign.
+    for word, char, position, refusal in (
+        ("ላፘ", "ፘ", 1, "unsupported scalar 'ፘ' (U+1358) at position 1 in 'ላፘ'"),
+        ("፩ላ", "፩", 0, "unsupported scalar '፩' (U+1369) at position 0 in '፩ላ'"),
+    ):
+        with pytest.raises(InvalidInputError) as exc:
+            encode(word)
+        assert str(exc.value) == refusal
+        assert (exc.value.char, exc.value.position, exc.value.word) == (
+            char, position, word)
 
 
 # --- the per-scalar maps against the per-character oracle ------------------

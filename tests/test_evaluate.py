@@ -68,7 +68,9 @@ def test_load_corpus_rejects_malformed_rows(tmp_path, row):
         load_corpus(path)
     assert exc.value.line == 1
     if row == "ጠዋት\thello\t6":
-        assert str(exc.value) == f"{path}:1: non-Ethiopic character 'h' in 'hello'"
+        assert str(exc.value) == (
+            f"{path}:1: unsupported scalar 'h' (U+0068) at position 0 in 'hello'"
+        )
 
 
 @pytest.mark.parametrize("field", ["٣", "３", "+3", "0_3", "-3"])
@@ -89,7 +91,18 @@ def test_load_corpus_reads_no_table_file(monkeypatch, tmp_path):
     path = write_corpus(tmp_path, "ቀለ\tቈለ\t6\nቀለ\tቈx\t6\n")
     with pytest.raises(LoadError) as exc:
         load_corpus(path)
-    assert str(exc.value) == f"{path}:2: non-Ethiopic character 'x' in 'ቈx'"
+    assert str(exc.value) == (
+        f"{path}:2: unsupported scalar 'x' (U+0078) at position 1 in 'ቈx'"
+    )
+
+
+def test_load_corpus_refuses_an_ethiopic_scalar_outside_the_grid(tmp_path):
+    path = write_corpus(tmp_path, "ላም\tላም\t1\nላም\tላፘ\t1\n")
+    with pytest.raises(LoadError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == (
+        f"{path}:2: unsupported scalar 'ፘ' (U+1358) at position 1 in 'ላፘ'"
+    )
 
 
 def test_load_corpus_missing_file(tmp_path):

@@ -66,12 +66,32 @@ def test_load_lexicon_reports_bad_line(tmp_path):
     with pytest.raises(LoadError) as exc:
         load_lexicon(path)
     assert exc.value.line == 2
-    assert str(exc.value) == f"{path}:2: non-Ethiopic character 'b' in word 'bad'"
+    assert str(exc.value) == (
+        f"{path}:2: unsupported scalar 'b' (U+0062) at position 0 in 'bad'"
+    )
     path = write_lexicon(tmp_path, "ላም\n\nላም፡ቤት\n")
     with pytest.raises(LoadError) as exc:
         load_lexicon(path)
     assert str(exc.value) == (
-        f"{path}:3: non-Ethiopic character '፡' in word 'ላም፡ቤት'"
+        f"{path}:3: unsupported scalar '፡' (U+1361) at position 2 in 'ላም፡ቤት'"
+    )
+
+
+def test_loaders_refuse_ethiopic_scalars_outside_the_grid(tmp_path):
+    # ETHIOPIC DIGIT ONE and SYLLABLE RYA: Ethiopic, but unsupported.
+    path = write_lexicon(tmp_path, "ላም\nላ፩\n")
+    with pytest.raises(LoadError) as exc:
+        load_lexicon(path)
+    assert str(exc.value) == (
+        f"{path}:2: unsupported scalar '፩' (U+1369) at position 1 in 'ላ፩'"
+    )
+    path = tmp_path / "index.txt"
+    path.write_text("# amharic-metaphone-index v1\n# fingerprint c3b6d1e3774e103d\n"
+                    "ልም\tላም\t0\nልፕ\tላፘ\t0\n", encoding="utf-8")
+    with pytest.raises(LoadError) as exc:
+        load_index(path)
+    assert str(exc.value) == (
+        f"{path}:4: unsupported scalar 'ፘ' (U+1358) at position 1 in 'ላፘ'"
     )
 
 
@@ -84,7 +104,9 @@ def test_load_lexicon_reads_no_table_file(monkeypatch, tmp_path):
     path = write_lexicon(tmp_path, "ቈለ\nቈx\n")
     with pytest.raises(LoadError) as exc:
         load_lexicon(path)
-    assert str(exc.value) == f"{path}:2: non-Ethiopic character 'x' in word 'ቈx'"
+    assert str(exc.value) == (
+        f"{path}:2: unsupported scalar 'x' (U+0078) at position 1 in 'ቈx'"
+    )
 
 
 def test_load_lexicon_missing_file(tmp_path):
@@ -383,14 +405,14 @@ def test_load_index_checks_words_against_the_tables(tmp_path):
     head = "# amharic-metaphone-index v1\n# fingerprint c3b6d1e3774e103d\n"
     path = tmp_path / "index.txt"
     # Hand-edited lines whose words load_lexicon would refuse.
-    for line, ch, word in [("ልም\tla m\t0", "l", "la m"),
-                           ("ልም\t ላም \t1", " ", " ላም ")]:
+    for line, refusal in [
+        ("ልም\tla m\t0", "unsupported scalar 'l' (U+006C) at position 0 in 'la m'"),
+        ("ልም\t ላም \t1", "unsupported scalar ' ' (U+0020) at position 0 in ' ላም '"),
+    ]:
         path.write_text(head + "ልም\tላም\t0\n" + line + "\n", encoding="utf-8")
         with pytest.raises(LoadError) as exc:
             load_index(path)
-        assert str(exc.value) == (
-            f"{path}:4: non-Ethiopic character {ch!r} in word {word!r}"
-        )
+        assert str(exc.value) == f"{path}:4: {refusal}"
 
     path.write_text(head + "ቅል\tቈለ\t0\n", encoding="utf-8")
     assert load_index(path).mapping == {"ቅል": {"ቈለ": Tier.CANONICAL}}
@@ -403,7 +425,9 @@ def test_load_index_reads_no_table_file(monkeypatch, tmp_path):
     path.write_text(head + "ቅል\tቈለ\t0\nቅል\tቈx\t0\n", encoding="utf-8")
     with pytest.raises(LoadError) as exc:
         load_index(path)
-    assert str(exc.value) == f"{path}:4: non-Ethiopic character 'x' in word 'ቈx'"
+    assert str(exc.value) == (
+        f"{path}:4: unsupported scalar 'x' (U+0078) at position 1 in 'ቈx'"
+    )
 
 
 # --- properties -------------------------------------------------------------
