@@ -12,7 +12,6 @@ from .encoder import (
     Encoding,
     EncodingSet,
     GlyphPair,
-    MistrikeProfile,
     Tier,
     encode,
     lcd_mistrike,
@@ -72,7 +71,6 @@ __all__ = [
     "InvalidInputError",
     "Lexicon",
     "LoadError",
-    "MistrikeProfile",
     "ScriptTables",
     "Suggestion",
     "Tier",

@@ -72,7 +72,11 @@ def _stdin_words() -> Iterator[str]:
     """The tokens of standard input, read one line at a time.
 
     _SEPARATORS holds every line break, so no token spans two lines.
+    Undecodable bytes raise UnicodeDecodeError, also in UTF-8 mode or
+    under a C.UTF-8 locale, where Python reads stdin with surrogateescape.
     """
+    if hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(errors="strict")
     for line in sys.stdin:
         for token in _SEPARATORS.split(line):
             if token:

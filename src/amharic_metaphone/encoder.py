@@ -18,13 +18,17 @@ An EncoderConfig decides a key set: it holds the script tables, the
 glyph pairs and the mistrike profile, and its fingerprint digests all
 of them. Each takes only declared facts, checks them by the rules its
 data file obeys, and derives the rest, so two configs with one
-fingerprint key every word alike. No config changes which scalars are
-supported: encode(), simplify() and remove_vowels() accept the fixed
-set ethiopic.SUPPORTED. The two steps are per-scalar maps built once
-with the tables: simplify() translates through ScriptTables.simplified,
-remove_vowels() through initial_stripped and later_stripped, and
-encode() takes the canonical key through the maps that chain the two,
-initial_keys and later_keys, in one translate per word.
+fingerprint key every word alike. The profile is the (shifted, plain)
+family pairs of an input method, a tuple like the glyph pairs. Its
+downgrade runs shifted-to-plain only: typing the shifted form takes
+deliberate effort, mistyping it does not. No config changes which
+scalars are supported: encode(), simplify() and remove_vowels() accept
+the fixed set ethiopic.SUPPORTED. The two steps are per-scalar maps
+built once with the tables: simplify() translates through
+ScriptTables.simplified, remove_vowels() through initial_stripped and
+later_stripped, and encode() takes the canonical key through the maps
+that chain the two, initial_keys and later_keys, in one translate per
+word.
 
 Glyph sites come from two partner maps a config builds once from its
 glyph pairs, one for the first key position and one for the rest; the
@@ -60,7 +64,6 @@ __all__ = [
     "Tier",
     "Encoding",
     "EncodingSet",
-    "MistrikeProfile",
     "GlyphPair",
     "EncoderConfig",
     "load_mistrike_profile",
@@ -143,36 +146,6 @@ class EncodingSet:
 
 
 @dataclass(frozen=True)
-class MistrikeProfile:
-    """Shifted/plain consonant pairs of an input method.
-
-    pairs holds (shifted, plain) family heads as written (first-order
-    forms), and no family is shifted in two pairs; otherwise ValueError
-    with the loader's text. sadis_pairs is derived from it: the same
-    mapping in key alphabet. The downgrade runs in the shifted-to-plain
-    direction only: typing the shifted form requires deliberate effort,
-    mistyping it does not.
-    """
-
-    pairs: tuple[tuple[str, str], ...]
-    sadis_pairs: tuple[tuple[str, str], ...] = field(init=False)
-    _key_table: dict[int, str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        shifted: set[str] = set()
-        for pair in self.pairs:
-            _add_mistrike_pair(pair, shifted)
-        sadis_of = ethiopic._SADIS_FORM
-        sadis_pairs = tuple((sadis_of[a], sadis_of[b]) for a, b in self.pairs)
-        object.__setattr__(self, "sadis_pairs", sadis_pairs)
-        object.__setattr__(self, "_key_table", {ord(a): b for a, b in sadis_pairs})
-
-    def key_table(self) -> dict[int, str]:
-        """The shifted-to-plain map in key alphabet, for str.translate."""
-        return self._key_table
-
-
-@dataclass(frozen=True)
 class GlyphPair:
     """Two key characters whose letterforms are routinely confused."""
 
@@ -183,14 +156,16 @@ class GlyphPair:
 
 # The rules a rule file's records obey. Each raises ValueError with the
 # text its loader reports; ethiopic._read_rules adds the file and line, and
-# MistrikeProfile and EncoderConfig run the same checks over their fields.
+# EncoderConfig runs the same checks over its fields.
 
-def _add_mistrike_pair(pair: tuple[str, str], shifted: set[str]) -> None:
+def _add_mistrike_pair(pair: tuple[str, ...], shifted: set[str]) -> None:
     """Check a (shifted, plain) pair against the families shifted so far.
 
-    Both must be first-order family forms, and the shifted family must
-    be new; it is then added to shifted.
+    It must hold two first-order family forms, and the shifted family
+    must be new; it is then added to shifted.
     """
+    if len(pair) != 2:
+        raise ValueError("expected: <shifted family> <plain family>")
     for family in pair:
         ethiopic._family(family)
     if pair[0] in shifted:
@@ -212,20 +187,18 @@ def _add_glyph_pair(pair: GlyphPair, used: set[str]) -> None:
         used.add(ch)
 
 
-def load_mistrike_profile(path: Path | str) -> MistrikeProfile:
+def load_mistrike_profile(path: Path | str) -> tuple[tuple[str, str], ...]:
     """Load a [mistrike-pairs] file of (shifted, plain) family pairs."""
     pairs: list[tuple[str, str]] = []
     shifted: set[str] = set()
 
     def record(_, tokens: list[str]) -> None:
-        if len(tokens) != 2:
-            raise ValueError("expected: <shifted family> <plain family>")
-        pair = (tokens[0], tokens[1])
+        pair = tuple(tokens)
         _add_mistrike_pair(pair, shifted)
         pairs.append(pair)
 
     ethiopic._read_rules(Path(path), ("mistrike-pairs",), record)
-    return MistrikeProfile(pairs=tuple(pairs))
+    return tuple(pairs)
 
 
 def load_glyph_pairs(path: Path | str) -> tuple[GlyphPair, ...]:
@@ -249,19 +222,23 @@ class EncoderConfig:
     """Everything that decides the key set of a word.
 
     wy_as_vowels treats non-initial ው and ይ as vowels and drops them
-    from keys. profile=None disables input-method alternates entirely,
-    the right call when the writer's keyboard layout is unknown.
-    max_encodings caps the set size: an int of at least 1, else TypeError
-    or ValueError; the canonical key is never evicted. glyph_pairs hold
-    sadis forms only and share no character; otherwise ValueError with
-    the loader's text. tables build the canonical key. By default
-    profile, glyph_pairs and tables are the bundled rules, read from the
-    data directory once per directory; a config keeps them if the
-    directory changes. Tables compare by identity.
+    from keys. profile holds an input method's (shifted, plain) family
+    pairs as written (first-order forms), no family shifted in two
+    pairs. Its downgrade runs shifted-to-plain only: typing the shifted
+    form takes deliberate effort, mistyping it does not. profile=None
+    disables input-method alternates entirely, the right call when the
+    writer's keyboard layout is unknown. max_encodings caps the set
+    size: an int of at least 1, else TypeError or ValueError; the
+    canonical key is never evicted. glyph_pairs hold sadis forms only
+    and share no character. Profile and glyph pairs a loader would
+    refuse raise ValueError with its text. tables build the canonical
+    key. By default profile, glyph_pairs and tables are the bundled
+    rules, read from the data directory once per directory; a config
+    keeps them if the directory changes. Tables compare by identity.
     """
 
     wy_as_vowels: bool = False
-    profile: MistrikeProfile | None = field(
+    profile: tuple[tuple[str, str], ...] | None = field(
         default_factory=lambda: _default_config().profile)
     glyph_pairs: tuple[GlyphPair, ...] = field(
         default_factory=lambda: _default_config().glyph_pairs)
@@ -279,6 +256,9 @@ class EncoderConfig:
         used: set[str] = set()
         for pair in self.glyph_pairs:
             _add_glyph_pair(pair, used)
+        shifted: set[str] = set()
+        for pair in self.profile or ():
+            _add_mistrike_pair(pair, shifted)
 
     @cached_property
     def _glyph_partners(self) -> tuple[dict[str, str], dict[str, str]]:
@@ -295,6 +275,13 @@ class EncoderConfig:
                 if pair.anywhere:
                     later[ch] = partner
         return initial, later
+
+    @cached_property
+    def _mistrike_keys(self) -> dict[int, str]:
+        """The profile's shifted-to-plain map in key alphabet, for
+        str.translate."""
+        sadis_of = ethiopic._SADIS_FORM
+        return {ord(sadis_of[a]): sadis_of[b] for a, b in self.profile or ()}
 
     @cached_property
     def _key_sets(self) -> dict[str, EncodingSet]:
@@ -327,7 +314,7 @@ class EncoderConfig:
             "profile=" + (
                 "none"
                 if self.profile is None
-                else ",".join(a + b for a, b in self.profile.pairs)
+                else ",".join(a + b for a, b in self.profile)
             ),
             "glyph=" + ",".join(
                 p.a + p.b + ("*" if p.anywhere else "^") for p in self.glyph_pairs
@@ -410,12 +397,13 @@ def _glyph_sites(
     return sites
 
 
-def lcd_mistrike(key: str, profile: MistrikeProfile) -> str:
-    """Downgrade every shifted consonant in the key to its plain partner.
+def lcd_mistrike(key: str, config: EncoderConfig) -> str:
+    """Downgrade every shifted consonant in the key to its plain partner
+    in config.profile.
 
     The output may equal the input when the key holds no shifted forms.
     """
-    return key.translate(profile.key_table())
+    return key.translate(config._mistrike_keys)
 
 
 def encode(word: str, config: EncoderConfig | None = None) -> EncodingSet:
@@ -501,10 +489,10 @@ def _unique_keys(canonical: str, config: EncoderConfig) -> Iterator[tuple[str, T
                         yield alt, tier
                         if len(taken) == cap:
                             return
-    if config.profile is not None:
+    if config.profile:
         tier = Tier.INPUT_METHOD
         for key in list(taken):
-            alt = lcd_mistrike(key, config.profile)
+            alt = lcd_mistrike(key, config)
             if alt not in taken:
                 taken[alt] = tier
                 yield alt, tier

@@ -202,6 +202,6 @@ def evaluate(
         expected_fail=TypeStats(xfail_total, xfail_matched),
         overall=overall,
         wy_as_vowels=config.wy_as_vowels,
-        profile_enabled=config.profile is not None and bool(config.profile.pairs),
+        profile_enabled=bool(config.profile),
         missing_from_lexicon=missing,
     )

@@ -332,6 +332,13 @@ def test_suggest_ranked_output(capsys):
     ]
 
 
+def test_suggest_limit_must_be_an_integer(capsys):
+    code, out, err = run(capsys, "suggest", "--lexicon", LEXICON, "--limit", "abc", "ሊም")
+    assert (code, out) == (1, "")
+    assert err.endswith(
+        "amharic-metaphone suggest: error: argument --limit: not an integer: 'abc'\n")
+
+
 def test_suggest_limit_and_jsonl(capsys):
     code, out, _ = run(
         capsys, "suggest", "--lexicon", LEXICON, "--limit", "2",
@@ -567,3 +574,23 @@ def test_undecodable_stdin_is_a_data_error():
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_undecodable_stdin_is_a_data_error_in_utf8_mode(fmt):
+    # UTF-8 mode (also the default under a C.UTF-8 locale) reads stdin
+    # with surrogateescape, which would pass the byte through as text.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    result = subprocess.run(
+        [sys.executable, "-m", "amharic_metaphone.cli", "encode", "--stdin",
+         "--format", fmt],
+        input="ላም ab".encode("utf-8") + b"\xffcd " + "ቤት\n".encode("utf-8"),
+        capture_output=True,
+        env={**env, "PYTHONUTF8": "1"},
+    )
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr.decode("utf-8") == (
+        "error: 'utf-8' codec can't decode byte 0xff in position 9: "
+        "invalid start byte\n"
+    )

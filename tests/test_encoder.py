@@ -23,7 +23,6 @@ from amharic_metaphone.encoder import (
     EncoderConfig,
     EncodingSet,
     GlyphPair,
-    MistrikeProfile,
     Tier,
     encode,
     lcd_mistrike,
@@ -193,17 +192,16 @@ def test_glyph_pair_initial_flag_restricts_position():
 # --- step 5: shift-slip downgrade -------------------------------------------
 
 def test_lcd_mistrike_replaces_all_shifted_chars_at_once():
-    profile = EncoderConfig().profile
-    assert lcd_mistrike("አልምጽህይ", profile) == "አልምስህይ"
-    assert lcd_mistrike("ጥውት", profile) == "ትውት"
-    assert lcd_mistrike("ጭጭ", profile) == "ችች"
-    assert lcd_mistrike("ልም", profile) == "ልም"
+    config = EncoderConfig()
+    assert lcd_mistrike("አልምጽህይ", config) == "አልምስህይ"
+    assert lcd_mistrike("ጥውት", config) == "ትውት"
+    assert lcd_mistrike("ጭጭ", config) == "ችች"
+    assert lcd_mistrike("ልም", config) == "ልም"
 
 
 def test_lcd_mistrike_is_one_directional():
     # plain chars never upgrade to their shifted partners
-    profile = EncoderConfig().profile
-    assert lcd_mistrike("ስት", profile) == "ስት"
+    assert lcd_mistrike("ስት", EncoderConfig()) == "ስት"
 
 
 # --- assembled encodings ----------------------------------------------------
@@ -362,7 +360,6 @@ def test_constructors_take_only_what_the_fingerprint_reads():
         return [f.name for f in fields(cls) if f.init]
 
     assert declared(ScriptTables) == ["representative", "vowel_carriers"]
-    assert declared(MistrikeProfile) == ["pairs"]
     # Each declared field moves the fingerprint, so two configs that key
     # words differently cannot share one.
     tables = EncoderConfig().tables
@@ -371,13 +368,11 @@ def test_constructors_take_only_what_the_fingerprint_reads():
     for name, value in (("representative", {}), ("vowel_carriers", frozenset("ዐ"))):
         variant = EncoderConfig(tables=ScriptTables(**{**bundled, name: value}))
         assert variant.fingerprint != base, name
-    profile = MistrikeProfile(pairs=(("ጠ", "ተ"),))
-    assert profile.sadis_pairs == (("ጥ", "ት"),)
-    assert EncoderConfig(profile=profile).fingerprint != base
+    one_pair = EncoderConfig(profile=(("ጠ", "ተ"),))
+    assert lcd_mistrike("ጥጽ", one_pair) == "ትጽ"
+    assert one_pair.fingerprint != base
     with pytest.raises(ValueError, match="'ጥ' is not a first-order family form"):
-        MistrikeProfile(pairs=(("ጥ", "ት"),))
-    with pytest.raises(TypeError):
-        MistrikeProfile(pairs=(("ጠ", "ተ"),), sadis_pairs=(("ጥ", "ስ"),))
+        EncoderConfig(profile=(("ጥ", "ት"),))
 
 
 # --- rule file loading ------------------------------------------------------
@@ -391,8 +386,8 @@ def _write(tmp_path, name, text):
 def test_load_mistrike_profile_happy_path(tmp_path):
     path = _write(tmp_path, "p.txt", "[mistrike-pairs]\nጠ ተ\n")
     profile = load_mistrike_profile(path)
-    assert profile.pairs == (("ጠ", "ተ"),)
-    assert profile.sadis_pairs == (("ጥ", "ት"),)
+    assert profile == (("ጠ", "ተ"),)
+    assert lcd_mistrike("ጥ", EncoderConfig(profile=profile)) == "ት"
 
 
 def test_load_mistrike_profile_rejects_bad_records(tmp_path):
@@ -418,7 +413,11 @@ def test_load_glyph_pairs_happy_path(tmp_path):
 
 @pytest.mark.parametrize("load, text, build", [
     (load_mistrike_profile, "[mistrike-pairs]\nጠ ተ\nጠ ደ\n",
-     lambda: MistrikeProfile(pairs=(("ጠ", "ተ"), ("ጠ", "ደ")))),
+     lambda: EncoderConfig(profile=(("ጠ", "ተ"), ("ጠ", "ደ")))),
+    (load_mistrike_profile, "[mistrike-pairs]\nጠ\n",
+     lambda: EncoderConfig(profile=(("ጠ",),))),
+    (load_mistrike_profile, "[mistrike-pairs]\nጥ ት\n",
+     lambda: EncoderConfig(profile=(("ጥ", "ት"),))),
     (load_glyph_pairs, "[glyph-pairs]\nፕ ኝ any\nኝ ም any\n",
      lambda: EncoderConfig(glyph_pairs=(GlyphPair(a="ፕ", b="ኝ", anywhere=True),
                                         GlyphPair(a="ኝ", b="ም", anywhere=True)))),
@@ -544,7 +543,7 @@ def staged_exhaustively(word, config):
                 sites.append((i, partners[0]))
         staged += [(k, 2) for k in combos(key, sites)]
     if config.profile is not None:
-        downgraded = [lcd_mistrike(k, config.profile) for k, _ in staged]
+        downgraded = [lcd_mistrike(k, config) for k, _ in staged]
         staged += [(d, 3) for d, (k, _) in zip(downgraded, staged) if d != k]
     unique = {}
     for key, tier in staged:

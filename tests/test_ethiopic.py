@@ -271,7 +271,7 @@ def test_defaults_follow_the_data_dir_override(monkeypatch, tmp_path):
         config = EncoderConfig()
         assert config.tables.representative == {"ሠ": "ሰ"}
         assert config.tables.vowel_carriers == frozenset("አ")
-        assert config.profile.pairs == (("ጠ", "ተ"),)
+        assert config.profile == (("ጠ", "ተ"),)
         assert config.glyph_pairs == (GlyphPair(a="ፕ", b="ኝ", anywhere=False),)
         # ሐ joins no class here; the bundled tables head it with ሀ.
         assert remove_vowels(simplify("ሐ")) == "ሕ"
@@ -317,6 +317,17 @@ def test_load_rejects_duplicate_class_membership(tmp_path):
         _load(tmp_path, "[homophone-classes]\nሀ ሐ\nሰ ሐ\n")
     with pytest.raises(LoadError):
         _load(tmp_path, "[homophone-classes]\nሀ ሀ\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[homophone-classes]\nሀ\n", "class needs a head and at least one member"),
+    ("[vowel-carriers]\nአ ዐ\n", "expected one family per record"),
+], ids=["class-head-only", "two-carriers"])
+def test_load_rejects_records_of_the_wrong_length(tmp_path, text, message):
+    with pytest.raises(LoadError) as exc:
+        _load(tmp_path, text)
+    assert exc.value.line == 2
+    assert str(exc.value) == f"{tmp_path / 'tables.txt'}:2: {message}"
 
 
 def test_load_rejects_member_used_as_head(tmp_path):

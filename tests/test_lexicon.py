@@ -54,11 +54,18 @@ def test_load_lexicon_skips_comments_and_blanks(tmp_path):
     assert "ላም" in lexicon and "ጤና" not in lexicon
 
 
-def test_load_lexicon_normalizes_to_nfc(tmp_path):
-    # U+12D8 + combining gemination mark stays as typed only if supported;
-    # here we check plain NFC idempotence on a precomposed word.
+def test_load_lexicon_keeps_words_as_written(tmp_path):
+    # No normalization: a word loads as its scalars stand, and a word
+    # holding U+135F ETHIOPIC COMBINING GEMINATION MARK, which is outside
+    # ethiopic.SUPPORTED, is refused at that scalar.
     path = write_lexicon(tmp_path, "ቋንቋ\n")
-    assert "ቋንቋ" in load_lexicon(path)
+    assert list(load_lexicon(path)) == ["ቋንቋ"]
+    path = write_lexicon(tmp_path, "ቋንቋ\nዘ\u135fነ\n")
+    with pytest.raises(LoadError) as exc:
+        load_lexicon(path)
+    assert str(exc.value) == (
+        f"{path}:2: unsupported scalar '\u135f' (U+135F) at position 1 in 'ዘ\u135fነ'"
+    )
 
 
 def test_load_lexicon_reports_bad_line(tmp_path):
@@ -284,6 +291,15 @@ def test_load_index_keeps_the_best_tier_of_repeated_lines(tmp_path):
     # Every line of a word shares one string.
     (word_m,), (word_n,) = index.mapping.values()
     assert word_m is word_n
+
+
+def test_load_index_skips_blank_and_comment_lines_in_the_body(tmp_path):
+    header = "# amharic-metaphone-index v1\n# fingerprint 0123456789abcdef\n"
+    plain, spaced = tmp_path / "plain.txt", tmp_path / "spaced.txt"
+    plain.write_text(header + "ልም\tላም\t0\nልን\tላም\t1\n", encoding="utf-8")
+    spaced.write_text(header + "\nልም\tላም\t0\n  \n# a note\nልን\tላም\t1\n",
+                      encoding="utf-8")
+    assert load_index(spaced).mapping == load_index(plain).mapping
 
 
 def test_dump_is_deterministic(tmp_path):
