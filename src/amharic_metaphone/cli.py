@@ -16,7 +16,12 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .encoder import EncoderConfig, encode, load_mistrike_profile
-from .errors import AmharicMetaphoneError, ConfigMismatchError, InvalidInputError
+from .errors import (
+    AmharicMetaphoneError,
+    ConfigMismatchError,
+    EmptyCorpusError,
+    InvalidInputError,
+)
 from .evaluate import ERROR_TYPE_LABELS, evaluate, load_corpus
 from .lexicon import build_index, dump_index, load_index, load_lexicon, suggest
 
@@ -164,7 +169,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     lexicon_words = None
     if args.lexicon is not None:
         lexicon_words = load_lexicon(args.lexicon).words
-    report = evaluate(corpus, config, lexicon_words=lexicon_words)
+    try:
+        report = evaluate(corpus, config, lexicon_words=lexicon_words)
+    except EmptyCorpusError as exc:
+        # Name the corpus file, as its LoadErrors do.
+        raise EmptyCorpusError(f"{args.corpus}: {exc}") from None
     if args.format == "jsonl":
         record = {
             "config": {

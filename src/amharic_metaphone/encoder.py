@@ -15,10 +15,10 @@ Lower tiers are more trustworthy matches. Keys contain only sixth-order
 vowel.
 
 An EncoderConfig decides a key set: it holds the script tables, the
-glyph pairs and the mistrike profile, and its fingerprint digests all
-of them. Each takes only declared facts, checks them by the rules its
-data file obeys, and derives the rest, so two configs with one
-fingerprint key every word alike. The profile is the (shifted, plain)
+glyph pairs and the mistrike profile. Each takes only declared facts,
+checks them by the rules its data file obeys, and compiles the maps
+the key walk reads. The fingerprint digests those maps: configs whose
+rules compile alike share one. The profile is the (shifted, plain)
 family pairs of an input method, a tuple like the glyph pairs. Its
 downgrade runs shifted-to-plain only: typing the shifted form takes
 deliberate effort, mistyping it does not. No config changes which
@@ -80,15 +80,6 @@ _NASAL_TRIGGERS = frozenset({"ብ", "ፍ"})
 
 # Deletes ው and ይ: the wy_as_vowels filter, for str.translate.
 _WY_DELETE = {ord("ው"): None, ord("ይ"): None}
-
-# The fingerprint's ʷ-series part. No config can change the series, but
-# saved index dumps store fingerprints, and the digest keeps this part so
-# that every fingerprint stays byte-identical.
-_LABIOVELAR_PART = "labiovelar=" + ",".join(
-    f"{chr(first + offset)}{family}{order}"
-    for first, family in ethiopic._SERIES_BLOCKS
-    for offset, order in ethiopic._SERIES_COLUMNS
-)
 
 # Entries in a config's memo of encode() results; emptied when full.
 _KEY_SET_CACHE = 4096
@@ -297,33 +288,26 @@ class EncoderConfig:
 
     @cached_property
     def fingerprint(self) -> str:
-        """Stable digest of everything that shapes key sets.
+        """Stable digest of the compiled rules the key walk reads.
 
         Indexes store this so a query under a different config is
-        rejected instead of silently missing. It depends on the tables'
-        contents, not on which object holds them.
+        rejected instead of silently missing. It digests wy_as_vowels,
+        max_encodings and each map the walk runs, as its items sorted by
+        key, so configs whose rules compile alike share one whatever the
+        rules' order, orientation or redundancy, or the object holding
+        the tables.
         """
         # Imported here: encode and evaluate never read the fingerprint,
         # and hashlib loads libcrypto.
         import hashlib
 
-        tables = self.tables
+        maps = (self.tables.initial_keys, self.tables.later_keys,
+                *self._glyph_partners, self._mistrike_keys, _NASAL_SWAP)
         parts = [
             f"wy={int(self.wy_as_vowels)}",
             f"max={self.max_encodings}",
-            "profile=" + (
-                "none"
-                if self.profile is None
-                else ",".join(a + b for a, b in self.profile)
-            ),
-            "glyph=" + ",".join(
-                p.a + p.b + ("*" if p.anywhere else "^") for p in self.glyph_pairs
-            ),
-            "classes=" + ",".join(
-                m + h for m, h in sorted(tables.representative.items())
-            ),
-            "carriers=" + "".join(sorted(tables.vowel_carriers)),
-            _LABIOVELAR_PART,
+            *(",".join(f"{k}:{v}" for k, v in sorted(m.items())) for m in maps),
+            "".join(sorted(_NASAL_TRIGGERS)),
         ]
         return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()[:16]
 
@@ -489,7 +473,7 @@ def _unique_keys(canonical: str, config: EncoderConfig) -> Iterator[tuple[str, T
                         yield alt, tier
                         if len(taken) == cap:
                             return
-    if config.profile:
+    if config._mistrike_keys:
         tier = Tier.INPUT_METHOD
         for key in list(taken):
             alt = lcd_mistrike(key, config)

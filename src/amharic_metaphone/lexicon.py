@@ -35,7 +35,9 @@ __all__ = [
     "load_index",
 ]
 
-_INDEX_MAGIC = "# amharic-metaphone-index v1"
+_INDEX_MAGIC = "# amharic-metaphone-index v2"
+# Refused by name: v1 fingerprints digest the rules as written.
+_V1_MAGIC = "# amharic-metaphone-index v1"
 _NO_FINGERPRINT = "expected: # fingerprint <hex>"
 # The tier tokens dump_index writes. int() would also take "٣", " 1" or "+0".
 _TIERS = {str(int(tier)): tier for tier in Tier}
@@ -278,7 +280,11 @@ def load_index(path: Path | str) -> EncodingIndex:
     """
     path = Path(path)
     lines = ethiopic._read_lines(path, "index")
-    if next(lines, (1, ""))[1].strip() != _INDEX_MAGIC:
+    header = next(lines, (1, ""))[1].strip()
+    if header == _V1_MAGIC:
+        raise LoadError("index dump format v1 is no longer read; rebuild it "
+                        "with 'amharic-metaphone index'", path=path, line=1)
+    if header != _INDEX_MAGIC:
         raise LoadError("not an index dump (bad header)", path=path, line=1)
     # Without its fingerprint a dump could not be checked against the
     # query's config, so a missing or empty one is a malformed file.

@@ -387,22 +387,43 @@ def test_suggest_from_a_saved_index_prints_what_the_lexicon_does(
         assert run(capsys, "suggest", "--index", dump, *flags, word) == from_lexicon
 
 
+def test_suggest_takes_a_dump_built_under_an_empty_profile_as_none(capsys, tmp_path):
+    # A profile file with no records keys every word as --profile none.
+    empty, dump = tmp_path / "empty.txt", str(tmp_path / "index.txt")
+    empty.write_text("[mistrike-pairs]\n", encoding="utf-8")
+    assert run(capsys, "index", "--lexicon", LEXICON, "--out", dump,
+               "--profile", str(empty))[0] == 0
+    from_lexicon = run(capsys, "suggest", "--lexicon", LEXICON, "--profile", "none", "ሊም")
+    assert from_lexicon[0] == 0 and from_lexicon[1]
+    assert run(capsys, "suggest", "--index", dump, "--profile", "none", "ሊም") == from_lexicon
+
+
 def test_suggest_refuses_a_dump_built_under_other_flags(capsys, tmp_path):
     dump = str(tmp_path / "index.txt")
     run(capsys, "index", "--lexicon", LEXICON, "--out", dump)
     code, out, err = run(capsys, "suggest", "--index", dump, "--wy-vowels", "ሊም")
     assert (code, out) == (2, "")
     assert err == (f"error: {dump}: index was built under a different encoder "
-                   "config (index c3b6d1e3774e103d, query 0cb3cc46431bf323); "
+                   "config (index 451b81d7438dfea3, query 45f3c7dc670fbd3e); "
                    "rebuild it\n")
 
 
 def test_suggest_refuses_a_dump_without_a_fingerprint(capsys, tmp_path):
     dump = tmp_path / "index.txt"
-    dump.write_text("# amharic-metaphone-index v1\nልም\tላም\t0\n", encoding="utf-8")
+    dump.write_text("# amharic-metaphone-index v2\nልም\tላም\t0\n", encoding="utf-8")
     code, out, err = run(capsys, "suggest", "--index", str(dump), "ሊም")
     assert (code, out) == (2, "")
     assert err == f"error: {dump}:2: expected: # fingerprint <hex>\n"
+
+
+def test_suggest_refuses_a_v1_dump_by_name(capsys, tmp_path):
+    dump = tmp_path / "index.txt"
+    dump.write_text("# amharic-metaphone-index v1\n# fingerprint c3b6d1e3774e103d\n"
+                    "ልም\tላም\t0\n", encoding="utf-8")
+    code, out, err = run(capsys, "suggest", "--index", str(dump), "ሊም")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {dump}:1: index dump format v1 is no longer read; "
+                   "rebuild it with 'amharic-metaphone index'\n")
 
 
 def test_suggest_refuses_a_file_that_is_no_dump(capsys, tmp_path):
@@ -420,7 +441,7 @@ def test_index_writes_a_reloadable_dump(capsys, tmp_path):
     assert out == ""
     assert "98 words" in err
     lines = out_path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "# amharic-metaphone-index v1"
+    assert lines[0] == "# amharic-metaphone-index v2"
     assert lines[1].startswith("# fingerprint ")
     assert "ልም\tላም\t0" in lines
 
@@ -504,6 +525,14 @@ def test_evaluate_malformed_corpus_is_a_data_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert ":1:" in err  # file/line context
+
+
+def test_evaluate_names_a_corpus_with_no_rows(capsys, tmp_path):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("# canonical\tvariant\ttype\n\n", encoding="utf-8")
+    code, out, err = run(capsys, "evaluate", "--corpus", str(empty))
+    assert (code, out) == (2, "")
+    assert err == f"error: {empty}: corpus has no entries\n"
 
 
 def test_evaluate_requires_corpus_flag(capsys):

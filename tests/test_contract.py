@@ -42,9 +42,9 @@ from amharic_metaphone import (
 from amharic_metaphone.cli import main
 from amharic_metaphone.ethiopic import data_dir
 
-DIGEST = "e72f7d712da32e8ca9825f7da6038aa9ffc9398379b4acefe09ca8c56376fa38"
+DIGEST = "6e7e5e78932009d46b8b5f4d6bff2b23590c7a3a924f096f8a1a535beea86737"
 CHECKS = (
-    "NH++4BkYOUYs4xLq2rIeCTCopPmQ+gmh4wY8qU8RxQ/hAc33sKfUDbwDze9P9YJaNGT7rSEv"
+    "Bn++4BkYOUYs4xLq2rIeCTCopPmQ+gmh4wY8qU8RxQ/hAc33sKfUDbwDze9P9YJaNGT7rSEv"
     "C92g6rz31Qk9DMwrbMsZwoloQWTJfAbpmNjSAIuVqt850Fvq6CHivS7GOSgI+IdHYKQTo0IJ"
     "3SVKBcTRUhbF9yRDp4d06jSOghUrvqKr8BzC3sAO7RNSN2HpWOb9O8EcISf8zFLewAELSnGv"
     "dwY0DpzwaGZxKjCLOs1BH+zae4SQi8f9WWRCAyLDC4xk3ipmfvDVJG6/k6wRj9TPT2vOXtLV"

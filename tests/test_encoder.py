@@ -11,6 +11,7 @@ import shutil
 import time
 import weakref
 from dataclasses import fields
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -44,12 +45,13 @@ from amharic_metaphone.ethiopic import (
     data_dir,
     load_script_tables,
 )
-from amharic_metaphone.evaluate import matches
+from amharic_metaphone.evaluate import load_corpus, matches
 from amharic_metaphone.lexicon import (
     Lexicon,
     build_index,
     dump_index,
     load_index,
+    load_lexicon,
     suggest,
 )
 
@@ -346,22 +348,26 @@ def test_config_fingerprint_tracks_settings():
     assert base != WY.fingerprint
     assert base != NO_PROFILE.fingerprint
     assert base != EncoderConfig(glyph_pairs=()).fingerprint
+    initial_only = (GlyphPair(a="ፕ", b="ኝ", anywhere=False),)
+    assert base != EncoderConfig(glyph_pairs=initial_only).fingerprint
+    assert base != EncoderConfig(max_encodings=8).fingerprint
     assert len(base) == 16
 
 
 def test_bundled_fingerprints_are_pinned():
     # Index dumps store these digests: a change here orphans every dump.
-    assert EncoderConfig().fingerprint == "c3b6d1e3774e103d"
-    assert EncoderConfig(wy_as_vowels=True).fingerprint == "0cb3cc46431bf323"
+    assert EncoderConfig().fingerprint == "451b81d7438dfea3"
+    assert EncoderConfig(wy_as_vowels=True).fingerprint == "45f3c7dc670fbd3e"
 
 
-def test_constructors_take_only_what_the_fingerprint_reads():
+def test_each_declared_rule_that_moves_a_key_moves_the_fingerprint():
     def declared(cls):
         return [f.name for f in fields(cls) if f.init]
 
     assert declared(ScriptTables) == ["representative", "vowel_carriers"]
-    # Each declared field moves the fingerprint, so two configs that key
-    # words differently cannot share one.
+    # A change to either declared field that moves a key moves the
+    # fingerprint, so two configs that key words differently cannot
+    # share one.
     tables = EncoderConfig().tables
     bundled = {name: getattr(tables, name) for name in declared(ScriptTables)}
     base = EncoderConfig().fingerprint
@@ -373,6 +379,36 @@ def test_constructors_take_only_what_the_fingerprint_reads():
     assert one_pair.fingerprint != base
     with pytest.raises(ValueError, match="'ጥ' is not a first-order family form"):
         EncoderConfig(profile=(("ጥ", "ት"),))
+
+
+@lru_cache(maxsize=None)
+def _bundled_words():
+    """The bundled lexicon and corpus words, read on first use."""
+    data = data_dir()
+    corpus = load_corpus(data / "corpus.tsv")
+    return tuple(sorted(load_lexicon(data / "lexicon.txt").words
+                        | {w for e in corpus for w in (e.canonical, e.variant)}))
+
+
+def _keys_of_bundled_words(config):
+    return [keys_with_tiers(word, config) for word in _bundled_words()]
+
+
+def test_bundled_rules_written_otherwise_share_the_bundled_fingerprint():
+    bundled = EncoderConfig()
+    tables = bundled.tables
+    assert tables.representative_of("ዐ") == "አ"
+    for variant, reference in (
+        # ዐ is in አ's homophone class, so carrying ዐ as well moves no key.
+        (EncoderConfig(tables=ScriptTables(tables.representative, frozenset("አ"))),
+         bundled),
+        (EncoderConfig(profile=bundled.profile[::-1], glyph_pairs=tuple(
+            GlyphPair(a=p.b, b=p.a, anywhere=p.anywhere) for p in bundled.glyph_pairs)),
+         bundled),
+        (EncoderConfig(profile=()), NO_PROFILE),
+    ):
+        assert variant.fingerprint == reference.fingerprint
+        assert _keys_of_bundled_words(variant) == _keys_of_bundled_words(reference)
 
 
 # --- rule file loading ------------------------------------------------------
@@ -577,6 +613,22 @@ def test_encode_matches_exhaustive_staging(word, config):
     assert keys_with_tiers(word, config) == staged_exhaustively(word, config)
 
 
+@settings(max_examples=100)
+@given(config=staging_configs, data=st.data())
+def test_rules_that_compile_alike_share_a_fingerprint(config, data):
+    # The same rules in another order and orientation, with no profile
+    # written as an empty one, key every word alike and share a digest.
+    profile = tuple(data.draw(st.permutations(config.profile or ())))
+    glyph_pairs = tuple(
+        GlyphPair(a=p.b, b=p.a, anywhere=p.anywhere) if data.draw(st.booleans()) else p
+        for p in data.draw(st.permutations(config.glyph_pairs))
+    )
+    variant = EncoderConfig(wy_as_vowels=config.wy_as_vowels, profile=profile,
+                            glyph_pairs=glyph_pairs, max_encodings=config.max_encodings)
+    assert variant.fingerprint == config.fingerprint
+    assert _keys_of_bundled_words(variant) == _keys_of_bundled_words(config)
+
+
 # Letters a nasal, glyph or mistrike rule trades for another.
 _RULE_PARTNERS = {"ም": "ን", "ን": "ም", "ፕ": "ኝ", "ኝ": "ፕ", "ጽ": "ስ",
                   "ጸ": "ሰ", "ጠ": "ተ", "ጥ": "ት", "ጨ": "ቸ", "ኘ": "ነ"}
@@ -698,7 +750,7 @@ def test_memo_stays_out_of_the_config_identity():
     assert warm == cold
     assert hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
-    assert warm.fingerprint == cold.fingerprint == "c3b6d1e3774e103d"
+    assert warm.fingerprint == cold.fingerprint == "451b81d7438dfea3"
 
 
 def test_a_warm_config_is_freed_by_reference_counting():

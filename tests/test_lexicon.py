@@ -93,7 +93,7 @@ def test_loaders_refuse_ethiopic_scalars_outside_the_grid(tmp_path):
         f"{path}:2: unsupported scalar '፩' (U+1369) at position 1 in 'ላ፩'"
     )
     path = tmp_path / "index.txt"
-    path.write_text("# amharic-metaphone-index v1\n# fingerprint c3b6d1e3774e103d\n"
+    path.write_text("# amharic-metaphone-index v2\n# fingerprint 451b81d7438dfea3\n"
                     "ልም\tላም\t0\nልፕ\tላፘ\t0\n", encoding="utf-8")
     with pytest.raises(LoadError) as exc:
         load_index(path)
@@ -193,7 +193,7 @@ def test_suggest_rejects_mismatched_config():
 def test_index_requires_a_fingerprint(tmp_path):
     # What a dump's second line cannot hold, an index cannot either.
     path = tmp_path / "index.txt"
-    path.write_text("# amharic-metaphone-index v1\n# fingerprint \n", encoding="utf-8")
+    path.write_text("# amharic-metaphone-index v2\n# fingerprint \n", encoding="utf-8")
     with pytest.raises(LoadError) as loaded:
         load_index(path)
     for fingerprint in ({}, {"fingerprint": ""}, {"fingerprint": "01 23"}):
@@ -279,7 +279,7 @@ def test_dump_and_load_round_trip(tmp_path):
 def test_load_index_keeps_the_best_tier_of_repeated_lines(tmp_path):
     path = tmp_path / "index.txt"
     path.write_text(
-        "# amharic-metaphone-index v1\n# fingerprint 0123456789abcdef\n"
+        "# amharic-metaphone-index v2\n# fingerprint 0123456789abcdef\n"
         "ልም\tላም\t2\nልም\tላም\t0\nልም\tላም\t3\nልን\tላም\t1\n",
         encoding="utf-8",
     )
@@ -294,7 +294,7 @@ def test_load_index_keeps_the_best_tier_of_repeated_lines(tmp_path):
 
 
 def test_load_index_skips_blank_and_comment_lines_in_the_body(tmp_path):
-    header = "# amharic-metaphone-index v1\n# fingerprint 0123456789abcdef\n"
+    header = "# amharic-metaphone-index v2\n# fingerprint 0123456789abcdef\n"
     plain, spaced = tmp_path / "plain.txt", tmp_path / "spaced.txt"
     plain.write_text(header + "ልም\tላም\t0\nልን\tላም\t1\n", encoding="utf-8")
     spaced.write_text(header + "\nልም\tላም\t0\n  \n# a note\nልን\tላም\t1\n",
@@ -366,6 +366,19 @@ def test_index_set_up_holds_no_copy_of_every_line(tmp_path):
     assert loading < 2 * size
 
 
+def test_load_index_refuses_a_v1_dump_by_name(tmp_path):
+    # A v1 dump holds a fingerprint of the rules as written, which no
+    # config gives now: the user is told to rebuild, not of a mismatch.
+    path = tmp_path / "v1.txt"
+    path.write_text("# amharic-metaphone-index v1\n# fingerprint c3b6d1e3774e103d\n"
+                    "ልም\tላም\t0\n", encoding="utf-8")
+    with pytest.raises(LoadError) as exc:
+        load_index(path)
+    assert exc.value.line == 1
+    assert str(exc.value) == (f"{path}:1: index dump format v1 is no longer read; "
+                              "rebuild it with 'amharic-metaphone index'")
+
+
 def test_load_index_rejects_bad_files(tmp_path):
     bad_header = tmp_path / "h.txt"
     bad_header.write_text("ልም\tላም\t0\n", encoding="utf-8")
@@ -373,7 +386,7 @@ def test_load_index_rejects_bad_files(tmp_path):
         load_index(bad_header)
     assert exc.value.line == 1
 
-    head = "# amharic-metaphone-index v1\n# fingerprint 0123456789abcdef\n"
+    head = "# amharic-metaphone-index v2\n# fingerprint 0123456789abcdef\n"
     bad_tier = tmp_path / "t.txt"
     bad_tier.write_text(head + "ልም\tላም\tnine\n", encoding="utf-8")
     with pytest.raises(LoadError) as exc:
@@ -406,7 +419,7 @@ def test_load_index_rejects_bad_files(tmp_path):
                          ("late", "ልም\tላም\t0\n# fingerprint 0123456789abcdef\n")]:
         unchecked = tmp_path / f"f-{name}.txt"
         unchecked.write_text(
-            "# amharic-metaphone-index v1\n" + second + "ልም\tላም\t0\n",
+            "# amharic-metaphone-index v2\n" + second + "ልም\tላም\t0\n",
             encoding="utf-8",
         )
         with pytest.raises(LoadError) as exc:
@@ -418,7 +431,7 @@ def test_load_index_rejects_bad_files(tmp_path):
 
 
 def test_load_index_checks_words_against_the_tables(tmp_path):
-    head = "# amharic-metaphone-index v1\n# fingerprint c3b6d1e3774e103d\n"
+    head = "# amharic-metaphone-index v2\n# fingerprint 451b81d7438dfea3\n"
     path = tmp_path / "index.txt"
     # Hand-edited lines whose words load_lexicon would refuse.
     for line, refusal in [
@@ -436,7 +449,7 @@ def test_load_index_checks_words_against_the_tables(tmp_path):
 
 def test_load_index_reads_no_table_file(monkeypatch, tmp_path):
     monkeypatch.setenv("AMHARIC_METAPHONE_DATA", str(tmp_path / "absent"))
-    head = "# amharic-metaphone-index v1\n# fingerprint c3b6d1e3774e103d\n"
+    head = "# amharic-metaphone-index v2\n# fingerprint 451b81d7438dfea3\n"
     path = tmp_path / "index.txt"
     path.write_text(head + "ቅል\tቈለ\t0\nቅል\tቈx\t0\n", encoding="utf-8")
     with pytest.raises(LoadError) as exc:
