@@ -28,10 +28,7 @@ from .errors import (
     InvalidInputError,
     LoadError,
 )
-from .ethiopic import (
-    ScriptTables,
-    load_script_tables,
-)
+from .ethiopic import load_script_tables
 from .evaluate import (
     ERROR_TYPE_LABELS,
     CorpusEntry,
@@ -71,7 +68,6 @@ __all__ = [
     "InvalidInputError",
     "Lexicon",
     "LoadError",
-    "ScriptTables",
     "Suggestion",
     "Tier",
     "TypeStats",

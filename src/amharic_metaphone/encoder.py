@@ -14,21 +14,19 @@ Lower tiers are more trustworthy matches. Keys contain only sixth-order
 (sadis) consonants, except a single leading አ marking a word-initial
 vowel.
 
-An EncoderConfig decides a key set: it holds the script tables, the
-glyph pairs and the mistrike profile. Each takes only declared facts,
-checks them by the rules its data file obeys, and compiles the maps
-the key walk reads. The fingerprint digests those maps: configs whose
-rules compile alike share one. The profile is the (shifted, plain)
-family pairs of an input method, a tuple like the glyph pairs. Its
-downgrade runs shifted-to-plain only: typing the shifted form takes
-deliberate effort, mistyping it does not. No config changes which
-scalars are supported: encode(), simplify() and remove_vowels() accept
-the fixed set ethiopic.SUPPORTED. The two steps are per-scalar maps
-built once with the tables: simplify() translates through
-ScriptTables.simplified, remove_vowels() through initial_stripped and
-later_stripped, and encode() takes the canonical key through the maps
-that chain the two, initial_keys and later_keys, in one translate per
-word.
+An EncoderConfig decides a key set. Its rule fields are plain values
+compared by value: the script tables' homophone pairs and vowel
+carriers, the glyph pairs and the mistrike profile. It checks each by
+the rules its data file obeys, and compiles the maps the key walk
+reads. The fingerprint digests those maps: configs whose rules compile
+alike share one. No config changes which scalars are supported:
+encode(), simplify() and remove_vowels() take a config and accept the
+fixed set ethiopic.SUPPORTED. The two steps are per-scalar maps,
+compiled once per distinct pair of script-table values: simplify()
+translates through simplified, remove_vowels() through
+initial_stripped and later_stripped, and encode() takes the canonical
+key through the maps that chain the two, initial_keys and later_keys,
+in one translate per word.
 
 Glyph sites come from two partner maps a config builds once from its
 glyph pairs, one for the first key position and one for the rest; the
@@ -152,13 +150,15 @@ class GlyphPair:
 def _add_mistrike_pair(pair: tuple[str, ...], shifted: set[str]) -> None:
     """Check a (shifted, plain) pair against the families shifted so far.
 
-    It must hold two first-order family forms, and the shifted family
-    must be new; it is then added to shifted.
+    It must hold two distinct first-order family forms, and the shifted
+    family must be new; it is then added to shifted.
     """
     if len(pair) != 2:
         raise ValueError("expected: <shifted family> <plain family>")
     for family in pair:
         ethiopic._family(family)
+    if pair[0] == pair[1]:
+        raise ValueError(f"family {pair[0]!r} paired with itself")
     if pair[0] in shifted:
         raise ValueError(f"family {pair[0]!r} shifted in more than one pair")
     shifted.add(pair[0])
@@ -215,17 +215,19 @@ class EncoderConfig:
     wy_as_vowels treats non-initial ው and ይ as vowels and drops them
     from keys. profile holds an input method's (shifted, plain) family
     pairs as written (first-order forms), no family shifted in two
-    pairs. Its downgrade runs shifted-to-plain only: typing the shifted
-    form takes deliberate effort, mistyping it does not. profile=None
-    disables input-method alternates entirely, the right call when the
-    writer's keyboard layout is unknown. max_encodings caps the set
-    size: an int of at least 1, else TypeError or ValueError; the
-    canonical key is never evicted. glyph_pairs hold sadis forms only
-    and share no character. Profile and glyph pairs a loader would
-    refuse raise ValueError with its text. tables build the canonical
-    key. By default profile, glyph_pairs and tables are the bundled
-    rules, read from the data directory once per directory; a config
-    keeps them if the directory changes. Tables compare by identity.
+    pairs or onto itself. Its downgrade runs shifted-to-plain only:
+    typing the shifted form takes deliberate effort, mistyping it does
+    not. profile=None disables input-method alternates entirely, the
+    right call when the writer's keyboard layout is unknown.
+    max_encodings caps the set size: an int of at least 1, else
+    TypeError or ValueError; the canonical key is never evicted.
+    glyph_pairs hold sadis forms only and share no character.
+    homophones, (member, head) family pairs, and the vowel_carriers
+    frozenset build the canonical key, as load_script_tables returns
+    them. Rules a loader would refuse raise ValueError with its text.
+    By default the rule fields hold the bundled rules, read from the
+    data directory once per directory; a config keeps them if the
+    directory changes.
     """
 
     wy_as_vowels: bool = False
@@ -234,8 +236,10 @@ class EncoderConfig:
     glyph_pairs: tuple[GlyphPair, ...] = field(
         default_factory=lambda: _default_config().glyph_pairs)
     max_encodings: int = 16
-    tables: ethiopic.ScriptTables = field(
-        default_factory=lambda: _default_config().tables)
+    homophones: tuple[tuple[str, str], ...] = field(
+        default_factory=lambda: _default_config().homophones)
+    vowel_carriers: frozenset[str] = field(
+        default_factory=lambda: _default_config().vowel_carriers)
 
     def __post_init__(self):
         # A float cap such as 2.5 or inf is never reached, and True keys
@@ -250,6 +254,11 @@ class EncoderConfig:
         shifted: set[str] = set()
         for pair in self.profile or ():
             _add_mistrike_pair(pair, shifted)
+        # Plain attributes, not cached properties, as encode() reads two
+        # per word; every config of equal tables shares them.
+        maps = ethiopic._compile_tables(self.homophones, self.vowel_carriers)
+        for name, table in maps.items():
+            object.__setattr__(self, f"_{name}", table)
 
     @cached_property
     def _glyph_partners(self) -> tuple[dict[str, str], dict[str, str]]:
@@ -294,14 +303,13 @@ class EncoderConfig:
         rejected instead of silently missing. It digests wy_as_vowels,
         max_encodings and each map the walk runs, as its items sorted by
         key, so configs whose rules compile alike share one whatever the
-        rules' order, orientation or redundancy, or the object holding
-        the tables.
+        rules' order, orientation or redundancy.
         """
         # Imported here: encode and evaluate never read the fingerprint,
         # and hashlib loads libcrypto.
         import hashlib
 
-        maps = (self.tables.initial_keys, self.tables.later_keys,
+        maps = (self._initial_keys, self._later_keys,
                 *self._glyph_partners, self._mistrike_keys, _NASAL_SWAP)
         parts = [
             f"wy={int(self.wy_as_vowels)}",
@@ -315,8 +323,11 @@ class EncoderConfig:
 @lru_cache(maxsize=None)
 def _config_in(directory: Path) -> EncoderConfig:
     """The directory's rule files, each read once: tables, profile, glyph pairs."""
+    homophones, vowel_carriers = ethiopic.load_script_tables(
+        directory / "script_tables.txt")
     return EncoderConfig(
-        tables=ethiopic.load_script_tables(directory / "script_tables.txt"),
+        homophones=homophones,
+        vowel_carriers=vowel_carriers,
         profile=load_mistrike_profile(directory / "mistrike_profile.txt"),
         glyph_pairs=load_glyph_pairs(directory / "glyph_pairs.txt"),
     )
@@ -328,22 +339,22 @@ def _default_config() -> EncoderConfig:
     return _config_in(ethiopic.data_dir().absolute())
 
 
-def simplify(word: str, tables: ethiopic.ScriptTables | None = None) -> str:
+def simplify(word: str, config: EncoderConfig | None = None) -> str:
     """Collapse every character onto its homophone-class head.
 
     Vowel carriers of any order become bare አ. If the head family has no
     member at the source character's column (only the rare ʷ columns),
     the original character is kept so the labiovelar subkind survives;
-    remove_vowels resolves the family then. Without tables the bundled
-    ones, EncoderConfig().tables, are used.
+    remove_vowels resolves the family then. Without a config,
+    EncoderConfig() is used.
     """
     # Step 1 maps a scalar alike at the start of a word and after it.
-    step_1 = (tables or _default_config().tables).simplified
+    step_1 = (config or _default_config())._simplified
     return _keyed(word, step_1, step_1, False)
 
 
 def remove_vowels(word: str, config: EncoderConfig | None = None) -> str:
-    """Reduce a simplified word to its consonant key with config.tables.
+    """Reduce a simplified word to its consonant key.
 
     Non-initial vowel carriers are dropped; a word-initial carrier stays
     as a leading አ. Everything else becomes its family's sadis form,
@@ -354,8 +365,7 @@ def remove_vowels(word: str, config: EncoderConfig | None = None) -> str:
     a config, EncoderConfig() is used, which keeps ው and ይ.
     """
     config = config or _default_config()
-    tables = config.tables
-    return _keyed(word, tables.initial_stripped, tables.later_stripped,
+    return _keyed(word, config._initial_stripped, config._later_stripped,
                   config.wy_as_vowels)
 
 
@@ -420,8 +430,7 @@ def _canonical(word: str, config: EncoderConfig) -> str:
     """remove_vowels(simplify(word)) in one pass: initial_keys, later_keys."""
     if not word:
         raise EmptyWordError("cannot encode an empty word")
-    tables = config.tables
-    return _keyed(word, tables.initial_keys, tables.later_keys, config.wy_as_vowels)
+    return _keyed(word, config._initial_keys, config._later_keys, config.wy_as_vowels)
 
 
 def _keyed(word: str, initial: Mapping[int, str], later: Mapping[int, str],

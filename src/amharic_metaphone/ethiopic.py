@@ -25,9 +25,10 @@ and numerals.
 
 The regular rows and the standalone ʷ-series blocks are Unicode layout:
 they are fixed and laid out once, and SUPPORTED, the set of scalars the
-encoder accepts, follows from them alone. A ScriptTables takes only what
-a table file declares (homophone classes and vowel carriers), checks it
-by the file's rules and derives the paper's two steps from it, each as
+encoder accepts, follows from them alone. A table file declares only
+homophone classes and vowel carriers, which load_script_tables returns
+as EncoderConfig field values. _compile_tables checks such values by
+the file's rules and derives the paper's two steps from them as
 per-scalar maps, and the canonical key maps that chain them.
 
 Every data file is read through _read_lines, a block of lines at a
@@ -39,9 +40,9 @@ data_dir() once per directory by the encoder.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .errors import InvalidInputError, LoadError
 
@@ -50,7 +51,6 @@ __all__ = [
     "WA",
     "OA",
     "SUPPORTED",
-    "ScriptTables",
     "load_script_tables",
     "data_dir",
 ]
@@ -125,75 +125,6 @@ _ALEF = "አ"
 _WAW = "ው"
 
 
-@dataclass(frozen=True, eq=False)
-class ScriptTables:
-    """Script data driving the encoder.
-
-    The two fields a table file declares: representative maps each
-    family to its homophone-class head (families absent from the
-    mapping are their own head), and vowel_carriers holds the families
-    that carry bare vowels. They pass the checks a table file's records
-    pass, or the constructor raises ValueError with the loader's text.
-
-    Five str.translate maps over SUPPORTED derive from these. Step 1,
-    simplified, takes a scalar to its head at the same order, to bare አ
-    for a carrier, or to itself where the head has no such member (ኋ).
-    Step 2, initial_stripped and later_stripped, takes a carrier to a
-    leading አ or to nothing, anything else to its head's sadis form (+ው
-    for a fourth-order labiovelar). initial_keys and later_keys are step
-    2 after step 1: what a scalar adds to a canonical key, before the
-    wy_as_vowels filter. Tables compare and hash by identity.
-    """
-
-    representative: Mapping[str, str]
-    vowel_carriers: frozenset[str]
-    simplified: Mapping[int, str] = field(init=False, repr=False)
-    initial_stripped: Mapping[int, str] = field(init=False, repr=False)
-    later_stripped: Mapping[int, str] = field(init=False, repr=False)
-    initial_keys: Mapping[int, str] = field(init=False, repr=False)
-    later_keys: Mapping[int, str] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        checked: dict[str, str] = {}
-        for member, head in self.representative.items():
-            _add_member(member, head, checked)
-        for head in checked.values():
-            if head in checked:
-                raise ValueError(
-                    f"class head {head!r} is itself a member of another class"
-                )
-        for family in sorted(self.vowel_carriers):
-            _family(family)
-        char_at = {slot: ch for ch, slot in _BY_CHAR.items()}
-        simplified: dict[int, str] = {}
-        initial: dict[int, str] = {}
-        later: dict[int, str] = {}
-        for ch, (family, order) in _BY_CHAR.items():
-            code = ord(ch)
-            head = self.representative_of(family)
-            if head in self.vowel_carriers:
-                simplified[code] = initial[code] = _ALEF
-                later[code] = ""
-                continue
-            simplified[code] = char_at.get((head, order), ch)
-            fragment = _SADIS_FORM[head]
-            if order == WA:
-                fragment += _WAW
-            initial[code] = later[code] = fragment
-        # Step 2 after step 1: a carrier reaches step 2 as bare አ.
-        for name, value in (
-            ("simplified", simplified),
-            ("initial_stripped", initial),
-            ("later_stripped", later),
-            ("initial_keys", {c: initial[ord(s)] for c, s in simplified.items()}),
-            ("later_keys", {c: later[ord(s)] for c, s in simplified.items()}),
-        ):
-            object.__setattr__(self, name, value)
-
-    def representative_of(self, family: str) -> str:
-        return self.representative.get(family, family)
-
-
 def _layout() -> dict[str, tuple[str, int]]:
     """Codepoint layout of the syllabary: scalar -> (family, order)."""
     by_char: dict[str, tuple[str, int]] = {}
@@ -220,7 +151,7 @@ _SADIS_FORM = {
 
 # The rules a table file's records obey. Each raises ValueError with the
 # text a loader reports; _read_rules adds the file and line, and
-# ScriptTables runs the same checks over its fields.
+# _compile_tables runs the same checks over a config's fields.
 
 def _family(token: str) -> str:
     """The token, if it is a family's first-order form; else ValueError."""
@@ -240,6 +171,60 @@ def _add_member(member: str, head: str, representative: dict[str, str]) -> None:
     if member in representative or member == head:
         raise ValueError(f"family {member!r} listed twice")
     representative[member] = head
+
+
+@lru_cache(maxsize=8)
+def _compile_tables(homophones: tuple[tuple[str, str], ...],
+                    vowel_carriers: frozenset[str]) -> dict[str, dict[int, str]]:
+    """The paper's two steps as str.translate maps over SUPPORTED, by name.
+
+    homophones holds (member, head) family pairs; a family in no pair is
+    its own head. vowel_carriers holds the families that carry bare
+    vowels. Both pass the checks a table file's records pass, or
+    ValueError with the loader's text. Step 1, simplified, takes a
+    scalar to its head at the same order, to bare አ for a carrier, or to
+    itself where the head has no such member (ኋ). Step 2,
+    initial_stripped and later_stripped, takes a carrier to a leading አ
+    or to nothing, anything else to its head's sadis form (+ው for a
+    fourth-order labiovelar). initial_keys and later_keys are step 2
+    after step 1: what a scalar adds to a canonical key, before the
+    wy_as_vowels filter. A compile costs about 0.2 ms and 57 KB, so it
+    runs once per distinct value.
+    """
+    representative: dict[str, str] = {}
+    for member, head in homophones:
+        _add_member(member, head, representative)
+    for head in representative.values():
+        if head in representative:
+            raise ValueError(
+                f"class head {head!r} is itself a member of another class"
+            )
+    for family in sorted(vowel_carriers):
+        _family(family)
+    char_at = {slot: ch for ch, slot in _BY_CHAR.items()}
+    simplified: dict[int, str] = {}
+    initial: dict[int, str] = {}
+    later: dict[int, str] = {}
+    for ch, (family, order) in _BY_CHAR.items():
+        code = ord(ch)
+        head = representative.get(family, family)
+        if head in vowel_carriers:
+            simplified[code] = initial[code] = _ALEF
+            later[code] = ""
+            continue
+        simplified[code] = char_at.get((head, order), ch)
+        fragment = _SADIS_FORM[head]
+        if order == WA:
+            fragment += _WAW
+        initial[code] = later[code] = fragment
+    # Step 2 after step 1: a carrier reaches step 2 as bare አ.
+    return {
+        "simplified": simplified,
+        "initial_stripped": initial,
+        "later_stripped": later,
+        "initial_keys": {c: initial[ord(s)] for c, s in simplified.items()},
+        "later_keys": {c: later[ord(s)] for c, s in simplified.items()},
+    }
 
 
 def data_dir() -> Path:
@@ -314,11 +299,13 @@ def _read_rules(path: Path, sections: tuple[str, ...], record) -> None:
             raise LoadError(str(exc), path=path, line=lineno) from None
 
 
-def load_script_tables(path: Path | str) -> ScriptTables:
+def load_script_tables(
+        path: Path | str) -> tuple[tuple[tuple[str, str], ...], frozenset[str]]:
     """Load a rule file of homophone classes and vowel carriers.
 
     A [homophone-classes] record is a head family and its members; a
-    [vowel-carriers] record is one family.
+    [vowel-carriers] record is one family. Returns EncoderConfig's
+    homophones, (member, head) pairs in file order, and vowel_carriers.
     """
     path = Path(path)
     representative: dict[str, str] = {}
@@ -336,11 +323,13 @@ def load_script_tables(path: Path | str) -> ScriptTables:
             carriers.add(_family(tokens[0]))
 
     _read_rules(path, ("homophone-classes", "vowel-carriers"), record)
+    tables = tuple(representative.items()), frozenset(carriers)
     # Only the class-head check is left to fail here, and it has no line.
     try:
-        return ScriptTables(representative, frozenset(carriers))
+        _compile_tables(*tables)
     except ValueError as exc:
         raise LoadError(str(exc), path=path) from None
+    return tables
 
 
 def _unsupported(word: str) -> InvalidInputError:

@@ -1,10 +1,11 @@
 """The per-character reference for the paper's steps 1 and 2.
 
 The package runs homophone merge and vowel strip as per-scalar maps
-built once with its ScriptTables. This module spells the same steps out
-one character at a time, through the syllabary's (family, order) layout,
+compiled once per config. This module spells the same steps out one
+character at a time, through the syllabary's (family, order) layout,
 and the tests compare the maps against it. It reads only the layout,
-ethiopic._BY_CHAR, and the two declared fields of a ScriptTables.
+ethiopic._BY_CHAR, and a config's declared fields: homophones,
+vowel_carriers and wy_as_vowels.
 """
 
 from __future__ import annotations
@@ -53,20 +54,25 @@ def compose(family: str, order: int) -> str:
     return ch
 
 
-def simplify(word: str, tables: ethiopic.ScriptTables | None = None) -> str:
+def _head(family: str, config: EncoderConfig) -> str:
+    """family's homophone-class head: itself when it is in no class."""
+    return dict(config.homophones).get(family, family)
+
+
+def simplify(word: str, config: EncoderConfig | None = None) -> str:
     """Step 1: every character onto its class head at the same order.
 
     Vowel carriers become bare አ; a character whose head has no member
     at its order is kept.
     """
-    tables = tables or EncoderConfig().tables
+    config = config or EncoderConfig()
     out: list[str] = []
     for pos, ch in enumerate(word):
         info = decompose(ch)
         if info is None:
             raise InvalidInputError(ch, pos, word)
-        family = tables.representative_of(info.family)
-        if family in tables.vowel_carriers:
+        family = _head(info.family, config)
+        if family in config.vowel_carriers:
             out.append(_ALEF)
             continue
         try:
@@ -84,14 +90,13 @@ def remove_vowels(word: str, config: EncoderConfig | None = None) -> str:
     and ይ are dropped from the finished key.
     """
     config = config or EncoderConfig()
-    tables = config.tables
     out: list[str] = []
     for pos, ch in enumerate(word):
         info = decompose(ch)
         if info is None:
             raise InvalidInputError(ch, pos, word)
-        family = tables.representative_of(info.family)
-        if family in tables.vowel_carriers:
+        family = _head(info.family, config)
+        if family in config.vowel_carriers:
             if pos == 0:
                 out.append(_ALEF)
             continue

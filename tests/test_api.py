@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "InvalidInputError",
     "Lexicon",
     "LoadError",
-    "ScriptTables",
     "Suggestion",
     "Tier",
     "TypeStats",
@@ -49,7 +48,7 @@ PUBLIC_NAMES = [
 
 def test_public_surface():
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
-    assert len(PUBLIC_NAMES) == 36
+    assert len(PUBLIC_NAMES) == 35
     assert amharic_metaphone.__all__ == PUBLIC_NAMES
     for module in ("", ".encoder", ".ethiopic", ".evaluate", ".lexicon"):
         mod = importlib.import_module("amharic_metaphone" + module)

@@ -41,7 +41,6 @@ from amharic_metaphone.errors import (
 from amharic_metaphone.ethiopic import (
     SADIS,
     SUPPORTED,
-    ScriptTables,
     data_dir,
     load_script_tables,
 )
@@ -300,29 +299,44 @@ def test_config_requires_an_int_cap(cap):
 def test_config_keeps_its_tables_when_the_data_dir_changes(monkeypatch, tmp_path):
     monkeypatch.delenv("AMHARIC_METAPHONE_DATA", raising=False)
     config = EncoderConfig()
-    tables, bundled = config.tables, config.fingerprint
+    tables, bundled = (config.homophones, config.vowel_carriers), config.fingerprint
     path = tmp_path / "script_tables.txt"
     path.write_text("[vowel-carriers]\nአ\n", encoding="utf-8")
     # An override directory holds every rule file the defaults read.
     for name in ("mistrike_profile.txt", "glyph_pairs.txt"):
         shutil.copyfile(data_dir() / name, tmp_path / name)
     monkeypatch.setenv("AMHARIC_METAPHONE_DATA", str(tmp_path))
-    assert config.tables is tables
+    assert (config.homophones, config.vowel_carriers) == tables
     assert config.fingerprint == bundled
     assert encode("ዓለም", config).canonical == "አልም"
     parts = {"profile": config.profile, "glyph_pairs": config.glyph_pairs}
     override = EncoderConfig(**parts)
-    assert override.tables is EncoderConfig().tables
+    assert override == EncoderConfig()
     assert override.fingerprint != bundled
     assert encode("ዓለም", override).canonical == "ዕልም"
-    # The digest depends on the tables' contents, not on which object
-    # holds them; the configs themselves compare tables by identity.
-    reloaded = EncoderConfig(**parts, tables=load_script_tables(path))
+    # Configs compare by value: tables loaded again from the same file
+    # give an equal config, with the same digest.
+    homophones, carriers = load_script_tables(path)
+    reloaded = EncoderConfig(**parts, homophones=homophones, vowel_carriers=carriers)
     assert reloaded.fingerprint == override.fingerprint
-    assert reloaded != override
+    assert reloaded == override
+    assert hash(reloaded) == hash(override)
     monkeypatch.delenv("AMHARIC_METAPHONE_DATA")
     assert EncoderConfig() == config
     assert EncoderConfig().fingerprint == bundled
+
+
+def test_configs_compare_by_value_and_share_their_step_maps(monkeypatch):
+    monkeypatch.delenv("AMHARIC_METAPHONE_DATA", raising=False)
+    homophones, carriers = load_script_tables(data_dir() / "script_tables.txt")
+    loaded = EncoderConfig(homophones=homophones, vowel_carriers=carriers)
+    default = EncoderConfig()
+    assert loaded == default
+    assert hash(loaded) == hash(default)
+    assert loaded.fingerprint == default.fingerprint
+    # Equal script tables are compiled once, whatever the other fields.
+    assert loaded._initial_keys is default._initial_keys
+    assert WY._later_keys is default._later_keys
 
 
 def test_relative_data_dir_is_read_against_the_working_directory(monkeypatch, tmp_path):
@@ -361,18 +375,15 @@ def test_bundled_fingerprints_are_pinned():
 
 
 def test_each_declared_rule_that_moves_a_key_moves_the_fingerprint():
-    def declared(cls):
-        return [f.name for f in fields(cls) if f.init]
-
-    assert declared(ScriptTables) == ["representative", "vowel_carriers"]
-    # A change to either declared field that moves a key moves the
+    assert [f.name for f in fields(EncoderConfig)] == [
+        "wy_as_vowels", "profile", "glyph_pairs", "max_encodings",
+        "homophones", "vowel_carriers"]
+    # A change to either script-table field that moves a key moves the
     # fingerprint, so two configs that key words differently cannot
     # share one.
-    tables = EncoderConfig().tables
-    bundled = {name: getattr(tables, name) for name in declared(ScriptTables)}
     base = EncoderConfig().fingerprint
-    for name, value in (("representative", {}), ("vowel_carriers", frozenset("ዐ"))):
-        variant = EncoderConfig(tables=ScriptTables(**{**bundled, name: value}))
+    for name, value in (("homophones", ()), ("vowel_carriers", frozenset("ዐ"))):
+        variant = EncoderConfig(**{name: value})
         assert variant.fingerprint != base, name
     one_pair = EncoderConfig(profile=(("ጠ", "ተ"),))
     assert lcd_mistrike("ጥጽ", one_pair) == "ትጽ"
@@ -396,12 +407,11 @@ def _keys_of_bundled_words(config):
 
 def test_bundled_rules_written_otherwise_share_the_bundled_fingerprint():
     bundled = EncoderConfig()
-    tables = bundled.tables
-    assert tables.representative_of("ዐ") == "አ"
+    assert ("ዐ", "አ") in bundled.homophones
+    assert bundled.vowel_carriers == frozenset("አዐ")
     for variant, reference in (
         # ዐ is in አ's homophone class, so carrying ዐ as well moves no key.
-        (EncoderConfig(tables=ScriptTables(tables.representative, frozenset("አ"))),
-         bundled),
+        (EncoderConfig(vowel_carriers=frozenset("አ")), bundled),
         (EncoderConfig(profile=bundled.profile[::-1], glyph_pairs=tuple(
             GlyphPair(a=p.b, b=p.a, anywhere=p.anywhere) for p in bundled.glyph_pairs)),
          bundled),
@@ -454,6 +464,9 @@ def test_load_glyph_pairs_happy_path(tmp_path):
      lambda: EncoderConfig(profile=(("ጠ",),))),
     (load_mistrike_profile, "[mistrike-pairs]\nጥ ት\n",
      lambda: EncoderConfig(profile=(("ጥ", "ት"),))),
+    # A pair that shifts a family onto itself downgrades nothing.
+    (load_mistrike_profile, "[mistrike-pairs]\nጠ ጠ\n",
+     lambda: EncoderConfig(profile=(("ጠ", "ጠ"),))),
     (load_glyph_pairs, "[glyph-pairs]\nፕ ኝ any\nኝ ም any\n",
      lambda: EncoderConfig(glyph_pairs=(GlyphPair(a="ፕ", b="ኝ", anywhere=True),
                                         GlyphPair(a="ኝ", b="ም", anywhere=True)))),
@@ -461,10 +474,20 @@ def test_load_glyph_pairs_happy_path(tmp_path):
      lambda: EncoderConfig(glyph_pairs=(GlyphPair(a="ፕ", b="x", anywhere=False),))),
     (load_glyph_pairs, "[glyph-pairs]\nፕ ፕ any\n",
      lambda: EncoderConfig(glyph_pairs=(GlyphPair(a="ፕ", b="ፕ", anywhere=True),))),
+    (load_script_tables, "[homophone-classes]\nሀ ሐ\nሰ ሀ\n",
+     lambda: EncoderConfig(homophones=(("ሐ", "ሀ"), ("ሀ", "ሰ")),
+                           vowel_carriers=frozenset("አ"))),
+    (load_script_tables, "[homophone-classes]\nሀ ሀ\n",
+     lambda: EncoderConfig(homophones=(("ሀ", "ሀ"),), vowel_carriers=frozenset("አ"))),
+    (load_script_tables, "[homophone-classes]\nሀ ህ\n",
+     lambda: EncoderConfig(homophones=(("ህ", "ሀ"),), vowel_carriers=frozenset("አ"))),
+    (load_script_tables, "[vowel-carriers]\nእ\n",
+     lambda: EncoderConfig(homophones=(), vowel_carriers=frozenset("እ"))),
 ])
 def test_hand_built_rules_pass_the_file_checks(tmp_path, load, text, build):
-    # A profile or glyph table the loader refuses cannot be built by
-    # hand either, and the constructor gives the loader's text.
+    # Script tables, a profile or glyph pairs that the loader refuses
+    # cannot be built by hand either, and the constructor gives the
+    # loader's text.
     with pytest.raises(LoadError) as loaded:
         load(_write(tmp_path, "rules.txt", text))
     with pytest.raises(ValueError) as built:
@@ -565,7 +588,7 @@ def staged_exhaustively(word, config):
                     chars[i] = ch
                 yield "".join(chars)
 
-    canonical = oracle.remove_vowels(oracle.simplify(word, config.tables), config)
+    canonical = oracle.remove_vowels(oracle.simplify(word, config), config)
     nasal = {"ም": "ን", "ን": "ም"}
     sites = [(i, nasal[ch]) for i, ch in enumerate(canonical[:-1])
              if ch in nasal and canonical[i + 1] in "ብፍ"]
@@ -781,7 +804,7 @@ def test_invalid_input_reads_no_data_file(monkeypatch, tmp_path):
     config = EncoderConfig()
     monkeypatch.setenv("AMHARIC_METAPHONE_DATA", str(tmp_path / "absent"))
     for call in (lambda: encode("ላx", config),
-                 lambda: simplify("ላx", config.tables)):
+                 lambda: simplify("ላx", config)):
         with pytest.raises(InvalidInputError) as exc:
             call()
         assert str(exc.value) == (
@@ -817,19 +840,22 @@ _ORACLE_TABLES = {
 
 @pytest.fixture(scope="module", params=["bundled", *_ORACLE_TABLES])
 def oracle_tables(request, tmp_path_factory):
+    """The two script-table fields of a config, by name."""
     if request.param == "bundled":
-        return EncoderConfig().tables
-    path = tmp_path_factory.mktemp("tables") / "script_tables.txt"
-    path.write_text(_ORACLE_TABLES[request.param], encoding="utf-8")
-    return load_script_tables(path)
+        homophones, carriers = EncoderConfig().homophones, EncoderConfig().vowel_carriers
+    else:
+        path = tmp_path_factory.mktemp("tables") / "script_tables.txt"
+        path.write_text(_ORACLE_TABLES[request.param], encoding="utf-8")
+        homophones, carriers = load_script_tables(path)
+    return {"homophones": homophones, "vowel_carriers": carriers}
 
 
 def _check_against_the_oracle(word, wy, tables):
     """simplify, remove_vowels and the canonical key each equal the oracle's."""
     config = EncoderConfig(wy_as_vowels=wy, profile=None, glyph_pairs=(),
-                           max_encodings=1, tables=tables)
-    merged = oracle.simplify(word, tables)
-    assert simplify(word, tables) == merged, word
+                           max_encodings=1, **tables)
+    merged = oracle.simplify(word, config)
+    assert simplify(word, config) == merged, word
     for text in (word, merged):
         assert remove_vowels(text, config) == oracle.remove_vowels(text, config), text
     assert encode(word, config).canonical == oracle.remove_vowels(merged, config), word
@@ -858,12 +884,12 @@ def test_compiled_key_reports_bad_scalars_like_the_oracle(oracle_tables, data):
     assume(bad not in SUPPORTED)
     pos = data.draw(st.integers(0, len(word)))
     word = word[:pos] + bad + word[pos:]
-    config = EncoderConfig(profile=None, tables=oracle_tables)
+    config = EncoderConfig(profile=None, **oracle_tables)
     calls = (
         lambda: encode(word, config),
-        lambda: simplify(word, oracle_tables),
+        lambda: simplify(word, config),
         lambda: remove_vowels(word, config),
-        lambda: oracle.simplify(word, oracle_tables),
+        lambda: oracle.simplify(word, config),
         lambda: oracle.remove_vowels(word, config),
     )
     for call in calls:
@@ -876,7 +902,8 @@ def test_compiled_key_reports_bad_scalars_like_the_oracle(oracle_tables, data):
 def test_custom_tables_reach_index_suggest_and_matches(tmp_path):
     path = tmp_path / "script_tables.txt"
     path.write_text(_ORACLE_TABLES["alef-as-consonant"], encoding="utf-8")
-    config = EncoderConfig(tables=load_script_tables(path))
+    homophones, carriers = load_script_tables(path)
+    config = EncoderConfig(homophones=homophones, vowel_carriers=carriers)
     lexicon = Lexicon(words=frozenset({"አለም", "ሰላም"}))
     # With አ merged into the ሀ class, ሐለም and አለም share the key ህልም;
     # the bundled tables keep አ as a word-initial vowel (አልም).

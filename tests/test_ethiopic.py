@@ -30,7 +30,6 @@ from amharic_metaphone.ethiopic import (
     SUPPORTED,
     WA,
     data_dir,
-    ScriptTables,
     load_script_tables,
 )
 from amharic_metaphone.evaluate import load_corpus
@@ -215,15 +214,15 @@ def test_vowel_carriers():
 
 
 def test_homophone_representatives():
-    tables = EncoderConfig().tables
-    assert tables.representative_of("ሐ") == "ሀ"
-    assert tables.representative_of("ኀ") == "ሀ"
-    assert tables.representative_of("ሠ") == "ሰ"
-    assert tables.representative_of("ዐ") == "አ"
-    assert tables.representative_of("ፀ") == "ጸ"
-    assert tables.representative_of("ቨ") == "በ"
-    assert tables.representative_of("ለ") == "ለ"  # its own head
-    assert tables.representative_of("ሀ") == "ሀ"
+    head = dict(EncoderConfig().homophones)
+    assert head["ሐ"] == "ሀ"
+    assert head["ኀ"] == "ሀ"
+    assert head["ሠ"] == "ሰ"
+    assert head["ዐ"] == "አ"
+    assert head["ፀ"] == "ጸ"
+    assert head["ቨ"] == "በ"
+    assert "ለ" not in head  # its own head
+    assert "ሀ" not in head
 
 
 def test_data_dir_env_override(monkeypatch, tmp_path):
@@ -269,14 +268,14 @@ def test_defaults_follow_the_data_dir_override(monkeypatch, tmp_path):
     for _ in range(2):
         monkeypatch.setenv("AMHARIC_METAPHONE_DATA", str(tmp_path))
         config = EncoderConfig()
-        assert config.tables.representative == {"ሠ": "ሰ"}
-        assert config.tables.vowel_carriers == frozenset("አ")
+        assert config.homophones == (("ሠ", "ሰ"),)
+        assert config.vowel_carriers == frozenset("አ")
         assert config.profile == (("ጠ", "ተ"),)
         assert config.glyph_pairs == (GlyphPair(a="ፕ", b="ኝ", anywhere=False),)
         # ሐ joins no class here; the bundled tables head it with ሀ.
         assert remove_vowels(simplify("ሐ")) == "ሕ"
         monkeypatch.delenv("AMHARIC_METAPHONE_DATA")
-        assert EncoderConfig().tables is bundled.tables
+        assert EncoderConfig().homophones is bundled.homophones
         assert EncoderConfig() == bundled
 
 
@@ -333,23 +332,6 @@ def test_load_rejects_records_of_the_wrong_length(tmp_path, text, message):
 def test_load_rejects_member_used_as_head(tmp_path):
     with pytest.raises(LoadError):
         _load(tmp_path, "[homophone-classes]\nሀ ሐ\nሐ ሰ\n")
-
-
-@pytest.mark.parametrize("text, declared", [
-    ("[homophone-classes]\nሀ ሐ\nሰ ሀ\n", {"representative": {"ሐ": "ሀ", "ሀ": "ሰ"}}),
-    ("[homophone-classes]\nሀ ሀ\n", {"representative": {"ሀ": "ሀ"}}),
-    ("[homophone-classes]\nሀ ህ\n", {"representative": {"ህ": "ሀ"}}),
-    ("[vowel-carriers]\nእ\n", {"vowel_carriers": frozenset("እ")}),
-])
-def test_hand_built_tables_pass_the_file_checks(tmp_path, text, declared):
-    # Tables the loader refuses cannot be built by hand either, and the
-    # constructor gives the loader's text.
-    with pytest.raises(LoadError) as loaded:
-        _load(tmp_path, text)
-    fields = {"representative": {}, "vowel_carriers": frozenset("አ"), **declared}
-    with pytest.raises(ValueError) as built:
-        ScriptTables(**fields)
-    assert str(loaded.value).endswith(f": {built.value}")
 
 
 @pytest.mark.parametrize("load, text, line, section", [
@@ -418,11 +400,11 @@ def test_read_lines_splits_like_splitlines(tmp_path_factory, pieces, block):
 
 
 def test_load_accepts_minimal_file(tmp_path):
-    tables = _load(tmp_path, "# nothing but a comment\n[vowel-carriers]\nአ\n")
-    assert tables.vowel_carriers == frozenset("አ")
-    assert tables.representative == {}
+    homophones, carriers = _load(tmp_path, "# nothing but a comment\n[vowel-carriers]\nአ\n")
+    assert carriers == frozenset("አ")
+    assert homophones == ()
     # The layout, ʷ-series included, is fixed whatever the file holds.
-    config = EncoderConfig(tables=tables)
+    config = EncoderConfig(homophones=homophones, vowel_carriers=carriers)
     assert encode("ቈለ", config).canonical == "ቅል"
     path = tmp_path / "words.txt"
     path.write_text("ቈለ\n", encoding="utf-8")
