@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .encoder import EncoderConfig, encode, load_mistrike_profile
+from .encoder import _TIER_TEXT, EncoderConfig, encode, load_mistrike_profile
 from .errors import (
     AmharicMetaphoneError,
     ConfigMismatchError,
@@ -91,25 +91,26 @@ def _stdin_words() -> Iterator[str]:
 def _cmd_encode(args: argparse.Namespace) -> int:
     config = _config(args)
     words = _stdin_words() if args.stdin else args.words
+    jsonl = args.format == "jsonl"
     # Each output line leaves in one write, newline included (print()
     # makes two). Batching lines into fewer writes would change what
     # perfbench's stream-encode times, since it stamps each line end.
     write = sys.stdout.write
     for word in words:
         try:
-            encodings = encode(word, config)
+            encodings = encode(word, config).encodings
         except InvalidInputError:
             if not args.stdin:
                 raise
             # Bulk text carries names, numbers, punctuation runs; pass
             # them through with a '-' tier flag instead of failing.
-            if args.format == "jsonl":
+            if jsonl:
                 record = {"word": word, "ethiopic": False, "encodings": []}
                 write(json.dumps(record, ensure_ascii=False) + "\n")
             else:
                 write(f"{word}\t-\t{word}\n")
             continue
-        if args.format == "jsonl":
+        if jsonl:
             record = {
                 "word": word,
                 "ethiopic": True,
@@ -120,7 +121,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
             write(json.dumps(record, ensure_ascii=False) + "\n")
         else:
             for e in encodings:
-                write(f"{word}\t{int(e.tier)}\t{e.key}\n")
+                write(f"{word}\t{_TIER_TEXT[e.tier]}\t{e.key}\n")
     return 0
 
 

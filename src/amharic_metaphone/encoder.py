@@ -26,7 +26,9 @@ compiled once per distinct pair of script-table values: simplify()
 translates through simplified, remove_vowels() through
 initial_stripped and later_stripped, and encode() takes the canonical
 key through the maps that chain the two, initial_keys and later_keys,
-in one translate per word.
+in one translate per word. Each map holds exactly SUPPORTED and refuses
+any other scalar as it maps, so that translate is also the word's only
+check: an unsupported scalar raises InvalidInputError there.
 
 Glyph sites come from two partner maps a config builds once from its
 glyph pairs, one for the first key position and one for the rest; the
@@ -95,6 +97,19 @@ class Tier(IntEnum):
     GLYPH = 2
     INPUT_METHOD = 3
 
+
+class _TierText(dict):
+    """Tier -> its text in `encode` lines and index dumps, looked up once
+    per line: cheaper than int() and formatting. Any other int, as a
+    hand-built index may hold, is written as int() writes it."""
+
+    __slots__ = ()
+
+    def __missing__(self, tier) -> str:
+        return str(int(tier))
+
+
+_TIER_TEXT = _TierText({tier: str(int(tier)) for tier in Tier})
 
 # The swap stages of the key walk: (tier, whether its sites are glyph
 # sites). Looked up once, as reading a Tier member is slow on 3.11.
@@ -208,6 +223,17 @@ def load_glyph_pairs(path: Path | str) -> tuple[GlyphPair, ...]:
     return tuple(pairs)
 
 
+# A config hashes, so each rule field holds hashable containers:
+# (field, container, item type, the shape its TypeError names).
+_RULE_FIELD_SHAPES = (
+    ("profile", (tuple, type(None)), tuple,
+     "a tuple of (shifted, plain) tuples, or None"),
+    ("glyph_pairs", tuple, GlyphPair, "a tuple of GlyphPairs"),
+    ("homophones", tuple, tuple, "a tuple of (member, head) tuples"),
+    ("vowel_carriers", frozenset, str, "a frozenset of family strings"),
+)
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     """Everything that decides the key set of a word.
@@ -224,7 +250,9 @@ class EncoderConfig:
     glyph_pairs hold sadis forms only and share no character.
     homophones, (member, head) family pairs, and the vowel_carriers
     frozenset build the canonical key, as load_script_tables returns
-    them. Rules a loader would refuse raise ValueError with its text.
+    them. A config hashes, so a rule field in another container (a
+    list, a set) raises TypeError naming the field; rules a loader
+    would refuse raise ValueError with its text.
     By default the rule fields hold the bundled rules, read from the
     data directory once per directory; a config keeps them if the
     directory changes.
@@ -248,6 +276,11 @@ class EncoderConfig:
             raise TypeError("max_encodings must be an int")
         if self.max_encodings < 1:
             raise ValueError("max_encodings must be at least 1")
+        for name, container, item, shape in _RULE_FIELD_SHAPES:
+            value = getattr(self, name)
+            if not (isinstance(value, container)
+                    and all(isinstance(x, item) for x in value or ())):
+                raise TypeError(f"{name} must be {shape}")
         used: set[str] = set()
         for pair in self.glyph_pairs:
             _add_glyph_pair(pair, used)
@@ -436,12 +469,17 @@ def _canonical(word: str, config: EncoderConfig) -> str:
 def _keyed(word: str, initial: Mapping[int, str], later: Mapping[int, str],
            wy_as_vowels: bool) -> str:
     """word's first scalar through initial, the rest through later, then
-    the wy_as_vowels filter; InvalidInputError at an unsupported scalar."""
-    if not ethiopic.SUPPORTED.issuperset(word):
-        raise ethiopic._unsupported(word)
+    the wy_as_vowels filter; InvalidInputError at an unsupported scalar.
+
+    initial and later are step maps, which refuse a scalar outside
+    SUPPORTED as they map it, so the word is read once.
+    """
     if not word:
         return ""
-    key = initial[ord(word[0])] + word[1:].translate(later)
+    try:
+        key = initial[ord(word[0])] + word[1:].translate(later)
+    except ethiopic._Unmapped:
+        raise ethiopic._unsupported(word) from None
     if wy_as_vowels:
         key = key[:1] + key[1:].translate(_WY_DELETE)
     return key

@@ -29,7 +29,9 @@ encoder accepts, follows from them alone. A table file declares only
 homophone classes and vowel carriers, which load_script_tables returns
 as EncoderConfig field values. _compile_tables checks such values by
 the file's rules and derives the paper's two steps from them as
-per-scalar maps, and the canonical key maps that chain them.
+per-scalar maps, and the canonical key maps that chain them. Each map
+holds exactly SUPPORTED and refuses any other scalar as it maps, so one
+str.translate both maps a word and checks it.
 
 Every data file is read through _read_lines, a block of lines at a
 time, and every rule file through _read_rules. No file is read here by
@@ -173,9 +175,24 @@ def _add_member(member: str, head: str, representative: dict[str, str]) -> None:
     representative[member] = head
 
 
+class _Unmapped(Exception):
+    """A scalar outside SUPPORTED reached a step map. Not a LookupError,
+    so str.translate stops at the scalar instead of keeping it."""
+
+
+class _StepMap(dict):
+    """A per-scalar map over SUPPORTED that refuses any other scalar:
+    subscripting or translating one raises _Unmapped."""
+
+    __slots__ = ()
+
+    def __missing__(self, code: int):
+        raise _Unmapped
+
+
 @lru_cache(maxsize=8)
 def _compile_tables(homophones: tuple[tuple[str, str], ...],
-                    vowel_carriers: frozenset[str]) -> dict[str, dict[int, str]]:
+                    vowel_carriers: frozenset[str]) -> dict[str, _StepMap]:
     """The paper's two steps as str.translate maps over SUPPORTED, by name.
 
     homophones holds (member, head) family pairs; a family in no pair is
@@ -188,12 +205,15 @@ def _compile_tables(homophones: tuple[tuple[str, str], ...],
     or to nothing, anything else to its head's sadis form (+ው for a
     fourth-order labiovelar). initial_keys and later_keys are step 2
     after step 1: what a scalar adds to a canonical key, before the
-    wy_as_vowels filter. A compile costs about 0.2 ms and 57 KB, so it
-    runs once per distinct value.
+    wy_as_vowels filter. Each map's keys are exactly SUPPORTED's code
+    points, and it raises _Unmapped at any other. A compile costs about
+    0.2 ms and 57 KB, so it runs once per distinct value.
     """
     representative: dict[str, str] = {}
-    for member, head in homophones:
-        _add_member(member, head, representative)
+    for pair in homophones:
+        if len(pair) != 2:
+            raise ValueError("expected: <member family> <head family>")
+        _add_member(*pair, representative)
     for head in representative.values():
         if head in representative:
             raise ValueError(
@@ -202,9 +222,9 @@ def _compile_tables(homophones: tuple[tuple[str, str], ...],
     for family in sorted(vowel_carriers):
         _family(family)
     char_at = {slot: ch for ch, slot in _BY_CHAR.items()}
-    simplified: dict[int, str] = {}
-    initial: dict[int, str] = {}
-    later: dict[int, str] = {}
+    simplified = _StepMap()
+    initial = _StepMap()
+    later = _StepMap()
     for ch, (family, order) in _BY_CHAR.items():
         code = ord(ch)
         head = representative.get(family, family)
@@ -222,8 +242,8 @@ def _compile_tables(homophones: tuple[tuple[str, str], ...],
         "simplified": simplified,
         "initial_stripped": initial,
         "later_stripped": later,
-        "initial_keys": {c: initial[ord(s)] for c, s in simplified.items()},
-        "later_keys": {c: later[ord(s)] for c, s in simplified.items()},
+        "initial_keys": _StepMap((c, initial[ord(s)]) for c, s in simplified.items()),
+        "later_keys": _StepMap((c, later[ord(s)]) for c, s in simplified.items()),
     }
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import ethiopic
 from .encoder import (
+    _TIER_TEXT,
     EncoderConfig,
     Tier,
     _canonical,
@@ -40,7 +41,7 @@ _INDEX_MAGIC = "# amharic-metaphone-index v2"
 _V1_MAGIC = "# amharic-metaphone-index v1"
 _NO_FINGERPRINT = "expected: # fingerprint <hex>"
 # The tier tokens dump_index writes. int() would also take "٣", " 1" or "+0".
-_TIERS = {str(int(tier)): tier for tier in Tier}
+_TIERS = {text: tier for tier, text in _TIER_TEXT.items()}
 # Queries longer than this, in scalars, get their bit masks from a
 # bytearray per scalar: linear in the query's length, where OR-ing in
 # one bit at a time is quadratic. On words the bitwise loop is about
@@ -172,15 +173,18 @@ def load_lexicon(path: Path | str) -> Lexicon:
     naming the line.
     """
     path = Path(path)
-    words: set[str] = set()
-    for lineno, raw in ethiopic._read_lines(path, "lexicon"):
-        word = raw.split("#", 1)[0].strip()
-        if not word:
-            continue
-        if not ethiopic.SUPPORTED.issuperset(word):
-            raise LoadError(str(ethiopic._unsupported(word)), path=path, line=lineno)
-        words.add(word)
-    return Lexicon(words=frozenset(words))
+
+    # A generator, so frozenset() builds the one table the Lexicon keeps.
+    def words() -> Iterator[str]:
+        for lineno, raw in ethiopic._read_lines(path, "lexicon"):
+            word = raw.split("#", 1)[0].strip()
+            if not word:
+                continue
+            if not ethiopic.SUPPORTED.issuperset(word):
+                raise LoadError(str(ethiopic._unsupported(word)), path=path, line=lineno)
+            yield word
+
+    return Lexicon(words=frozenset(words()))
 
 
 def build_index(lexicon: Lexicon, config: EncoderConfig | None = None) -> EncodingIndex:
@@ -258,7 +262,7 @@ def dump_index(index: EncodingIndex, path: Path | str) -> None:
             f.write(f"{_INDEX_MAGIC}\n# fingerprint {index.fingerprint}\n")
             for key in sorted(mapping):
                 bucket = mapping[key]
-                f.write("".join([f"{key}\t{word}\t{int(bucket[word])}\n"
+                f.write("".join([f"{key}\t{word}\t{_TIER_TEXT[bucket[word]]}\n"
                                  for word in sorted(bucket)]))
         os.replace(partial, path)
     except BaseException as exc:

@@ -288,6 +288,23 @@ def test_encode_stdin_writes_each_line_in_one_call(monkeypatch):
         assert "".join(out.calls) == golden
 
 
+def test_encode_stdin_passes_through_a_token_wherever_its_bad_scalar_is(
+        capsys, monkeypatch):
+    # The key maps refuse an unsupported scalar as they map it, at the
+    # first scalar (one lookup) or later (the translate), and the token
+    # passes through as written, also with the scalar outside the BMP.
+    text = "xላም ላxም ላምx ፩ ላ\U0001F600ም ሰላም\n"
+    tokens = ["xላም", "ላxም", "ላምx", "፩", "ላ\U0001F600ም"]
+    golden_text = "".join(f"{t}\t-\t{t}\n" for t in tokens) + "ሰላም\t0\tስልም\n"
+    golden_jsonl = "".join(
+        f'{{"word": "{t}", "ethiopic": false, "encodings": []}}\n' for t in tokens
+    ) + '{"word": "ሰላም", "ethiopic": true, "encodings": [{"key": "ስልም", "tier": 0}]}\n'
+    for flags, golden in (((), golden_text), (("--format", "jsonl"), golden_jsonl)):
+        code, out, err = run(capsys, "encode", "--stdin", *flags, stdin=text,
+                             monkeypatch=monkeypatch)
+        assert (code, out, err) == (0, golden, "")
+
+
 def test_encode_profile_none_drops_the_input_method_tier(capsys):
     code, out, _ = run(capsys, "encode", "--profile", "none", "ጧት")
     assert code == 0

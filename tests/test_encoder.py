@@ -296,6 +296,30 @@ def test_config_requires_an_int_cap(cap):
         EncoderConfig(max_encodings=cap)
 
 
+@pytest.mark.parametrize("fields, error, message", [
+    ({"homophones": [("ሐ", "ሀ")]}, TypeError,
+     "homophones must be a tuple of (member, head) tuples"),
+    ({"vowel_carriers": {"አ"}}, TypeError,
+     "vowel_carriers must be a frozenset of family strings"),
+    ({"homophones": (("ሐ",),)}, ValueError,
+     "expected: <member family> <head family>"),
+    ({"homophones": (("ሐ", "ሀ", "ሀ"),)}, ValueError,
+     "expected: <member family> <head family>"),
+    ({"profile": [("ጠ", "ተ")]}, TypeError,
+     "profile must be a tuple of (shifted, plain) tuples, or None"),
+    ({"profile": (["ጠ", "ተ"],)}, TypeError,
+     "profile must be a tuple of (shifted, plain) tuples, or None"),
+    ({"glyph_pairs": []}, TypeError, "glyph_pairs must be a tuple of GlyphPairs"),
+])
+def test_config_refuses_rule_fields_of_another_shape(fields, error, message):
+    # A config hashes and compiles its rules, so a list or set in a rule
+    # field is refused by name, as is a homophone pair of other than two
+    # families, instead of failing later or deep in the compile.
+    with pytest.raises(error) as exc:
+        EncoderConfig(**fields)
+    assert str(exc.value) == message
+
+
 def test_config_keeps_its_tables_when_the_data_dir_changes(monkeypatch, tmp_path):
     monkeypatch.delenv("AMHARIC_METAPHONE_DATA", raising=False)
     config = EncoderConfig()

@@ -203,6 +203,36 @@ def test_to_sadis_is_total_and_idempotent_over_supported_chars():
         assert encode(key).canonical == key
 
 
+_STEP_MAPS = ("_simplified", "_initial_stripped", "_later_stripped",
+              "_initial_keys", "_later_keys")
+
+
+@pytest.mark.parametrize("tables", [{}, {"homophones": (("ሀ", "ለ"),),
+                                       "vowel_carriers": frozenset("ሀ")}])
+def test_step_maps_hold_exactly_the_supported_scalars(tables):
+    # The key walk checks a word only by mapping it, so a map must hold
+    # every supported scalar and no other.
+    config = EncoderConfig(**tables)
+    for name in _STEP_MAPS:
+        assert set(getattr(config, name)) == {ord(ch) for ch in SUPPORTED}, name
+
+
+@given(drawn=st.characters().filter(lambda ch: ch not in SUPPORTED))
+def test_step_maps_refuse_every_other_scalar(drawn):
+    # Raised from the map, not a LookupError, so str.translate stops at
+    # the scalar instead of keeping it.
+    assert not issubclass(ethiopic._Unmapped, LookupError)
+    config = EncoderConfig()
+    for ch in ("ፘ", "፡", "፩", "a", " ", "\ud800", "\U0001F600", drawn):
+        for name in _STEP_MAPS:
+            table = getattr(config, name)
+            with pytest.raises(ethiopic._Unmapped):
+                table[ord(ch)]
+            for text in (ch, "ለ" + ch, ch + "ለ", "ለ" + ch + "ለ"):
+                with pytest.raises(ethiopic._Unmapped):
+                    text.translate(table)
+
+
 def test_vowel_carriers():
     # A carrier opens a key as አ and leaves no trace after a consonant.
     for ch in "አኡኢዓዔዕዖኧ":
