@@ -34,9 +34,11 @@ Glyph sites come from two partner maps a config builds once from its
 glyph pairs, one for the first key position and one for the rest; the
 pairs share no character, so a character has one partner at most. One
 lazy walk, _unique_keys(), yields each new key with its tier in staging
-order and stops at max_encodings. encode() and suggest() read it to the
-end; matches() reads two words' walks in turn, one key each, and stops
-at the first key they share.
+order and stops at max_encodings, or right after the canonical key when
+that key holds no nasal, glyph or shifted site, which a config finds in
+one search compiled from the same maps. encode() and suggest() read it
+to the end; matches() reads two words' walks in turn, one key each, and
+stops at the first key they share.
 
 A key set depends only on the canonical key and the config, so encode()
 walks each consonant skeleton once per config: it keeps the EncodingSet
@@ -50,12 +52,13 @@ canonical key and walks each key once.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property, lru_cache
 from itertools import combinations
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from . import ethiopic
 from .errors import EmptyWordError
@@ -317,6 +320,20 @@ class EncoderConfig:
         return {ord(sadis_of[a]): sadis_of[b] for a, b in self.profile or ()}
 
     @cached_property
+    def _rule_site(self) -> Callable[[str], re.Match | None]:
+        """search() for a site any rule swaps: a nasal before its trigger,
+        a glyph partner (at position 0, or later) or a shifted consonant.
+        A key holding none is its own whole key set."""
+        initial, later = self._glyph_partners
+        anywhere = "".join(later) + "".join(map(chr, self._mistrike_keys))
+        pattern = f"[{''.join(_NASAL_SWAP)}][{''.join(_NASAL_TRIGGERS)}]"
+        if initial:
+            pattern += f"|^[{''.join(initial)}]"
+        if anywhere:
+            pattern += f"|[{anywhere}]"
+        return re.compile(pattern).search
+
+    @cached_property
     def _key_sets(self) -> dict[str, EncodingSet]:
         """encode()'s memo: canonical key -> its EncodingSet.
 
@@ -493,12 +510,14 @@ def _unique_keys(canonical: str, config: EncoderConfig) -> Iterator[tuple[str, T
     A combination swaps every site (position, partner) in it, smallest
     combinations first. Lazy, as combinations grow exponentially; only
     unique keys are downgraded, as a repeat downgrades to the same key.
+    It returns after the canonical key when that key holds no site of
+    any rule (config._rule_site), as no stage could then add a key.
     """
     cap = config.max_encodings
     tier = Tier.CANONICAL
     taken = {canonical: tier}
     yield canonical, tier
-    if cap == 1:
+    if cap == 1 or not config._rule_site(canonical):
         return
     partners = config._glyph_partners
     # Each stage reads the keys taken before it: the nasal stage reads

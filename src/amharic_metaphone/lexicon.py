@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import ethiopic
 from .encoder import (
@@ -129,8 +129,7 @@ class Lexicon:
         return iter(sorted(self.words))
 
 
-@dataclass(frozen=True)
-class Suggestion:
+class Suggestion(NamedTuple):
     word: str
     match_tier: Tier
     distance: int
@@ -219,8 +218,12 @@ def suggest(
     lexicon-side tiers of the shared key (the weaker end of the bridge),
     minimized over all shared keys. Candidates are ranked by match tier,
     then edit distance to the query, then the word, and the first
-    ``limit`` are returned.
+    ``limit`` are returned: an int of at least 1, else TypeError or
+    ValueError, raised before any work.
     """
+    # A float limit such as 2.5 cannot slice, and True would mean 1.
+    if type(limit) is not int:
+        raise TypeError("limit must be an int")
     if limit < 1:
         raise ValueError("limit must be at least 1")
     config = config or _default_config()
@@ -229,9 +232,14 @@ def suggest(
             "index was built under a different encoder config (index "
             f"{index.fingerprint}, query {config.fingerprint}); rebuild it"
         )
-    best: dict[str, Tier] = {}
-    for key, query_tier in _unique_keys(_canonical(query, config), config):
-        for word, word_tier in index.lookup(key).items():
+    mapping = index.mapping
+    walk = _unique_keys(_canonical(query, config), config)
+    # The first key is the canonical one, at tier 0, so each word in its
+    # bucket keeps its own tier there: one copy merges the bucket.
+    canonical, _ = next(walk)
+    best: dict[str, Tier] = dict(mapping.get(canonical, ()))
+    for key, query_tier in walk:
+        for word, word_tier in mapping.get(key, {}).items():
             tier = max(query_tier, word_tier)
             current = best.get(word)
             if current is None or tier < current:

@@ -1,11 +1,14 @@
-"""The per-character reference for the paper's steps 1 and 2.
+"""The per-character reference for the paper's steps 1 and 2, and a
+brute-force ranking for suggest().
 
 The package runs homophone merge and vowel strip as per-scalar maps
 compiled once per config. This module spells the same steps out one
 character at a time, through the syllabary's (family, order) layout,
 and the tests compare the maps against it. It reads only the layout,
 ethiopic._BY_CHAR, and a config's declared fields: homophones,
-vowel_carriers and wy_as_vowels.
+vowel_carriers and wy_as_vowels. suggest() ranks a word list by the
+definition, from each word's encode() entries and a plain Levenshtein
+table, with no index.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from amharic_metaphone import ethiopic
-from amharic_metaphone.encoder import EncoderConfig
+from amharic_metaphone.encoder import EncoderConfig, encode
 from amharic_metaphone.errors import InvalidInputError
 
 _ALEF = "አ"
@@ -106,3 +109,33 @@ def remove_vowels(word: str, config: EncoderConfig | None = None) -> str:
     if config.wy_as_vowels:
         out = out[:1] + [c for c in out[1:] if c != _WAW and c != _YOD]
     return "".join(out)
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Edit distance by the dynamic-programming table, one row at a time."""
+    row = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        diagonal, row[0] = row[0], i
+        for j, cb in enumerate(b, 1):
+            diagonal, row[j] = row[j], min(row[j] + 1, row[j - 1] + 1,
+                                           diagonal + (ca != cb))
+    return row[-1]
+
+
+def suggest(query: str, words, config: EncoderConfig,
+            limit: int) -> list[tuple[str, int, int]]:
+    """The first limit (word, tier, distance) of the words sharing a key
+    with the query, sorted by (tier, distance, word).
+
+    A word's tier is the minimum, over the keys both encode to, of the
+    higher of the query's and the word's tier of that key.
+    """
+    query_tiers = {e.key: e.tier for e in encode(query, config)}
+    ranked = []
+    for word in words:
+        tiers = [max(query_tiers[e.key], e.tier)
+                 for e in encode(word, config) if e.key in query_tiers]
+        if tiers:
+            ranked.append((min(tiers), levenshtein(query, word), word))
+    ranked.sort()
+    return [(word, tier, dist) for tier, dist, word in ranked[:limit]]

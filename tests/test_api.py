@@ -5,7 +5,10 @@ A change to this list is a change to the API; it should be deliberate.
 
 import importlib
 
+import pytest
+
 import amharic_metaphone
+from amharic_metaphone import Suggestion, Tier
 
 PUBLIC_NAMES = [
     "AmharicMetaphoneError",
@@ -54,3 +57,15 @@ def test_public_surface():
         mod = importlib.import_module("amharic_metaphone" + module)
         for name in mod.__all__:
             assert hasattr(mod, name), f"{mod.__name__}.{name}"
+
+
+def test_suggestion_is_an_immutable_named_tuple():
+    hit = Suggestion("ለም", Tier.CANONICAL, 1)
+    assert Suggestion._fields == ("word", "match_tier", "distance")
+    assert Suggestion(word="ለም", match_tier=Tier.CANONICAL, distance=1) == hit
+    assert repr(hit) == "Suggestion(word='ለም', match_tier=<Tier.CANONICAL: 0>, distance=1)"
+    with pytest.raises(AttributeError):
+        hit.word = "ላም"
+    word, tier, distance = hit
+    assert (word, tier, distance) == hit == ("ለም", 0, 1)
+    assert hash(hit) == hash(("ለም", 0, 1))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracle
 from amharic_metaphone.lexicon import _distances, distance
 
 
@@ -85,6 +86,12 @@ def test_metric_properties(a, b, c):
 def test_bounds(a, b):
     d = distance(a, b)
     assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
+
+
+@given(a=strings, b=strings)
+def test_oracle_table_matches_reference(a, b):
+    # The suggest() oracle's own Levenshtein, a row-by-row DP table.
+    assert oracle.levenshtein(a, b) == reference(a, b)
 
 
 def test_supplementary_plane_characters():

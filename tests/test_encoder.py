@@ -703,6 +703,33 @@ def test_matches_agrees_with_exhaustive_staging(pair, config):
     assert matches(a, b, config) == matches(b, a, config) == bool(keys_a & keys_b)
 
 
+def walk(key, config):
+    return [(k, int(t)) for k, t in encoder._unique_keys(key, config)]
+
+
+def test_the_walk_ends_at_a_key_no_rule_can_change():
+    # ጥ is a shifted consonant and the key's only site: the walk yields
+    # its downgrade under the bundled profile, and nothing more without one.
+    assert walk("ጥል", NO_PROFILE) == [("ጥል", 0)]
+    assert walk("ጥል", EncoderConfig()) == [("ጥል", 0), ("ትል", 3)]
+    # ል and ር are in no bundled rule, until a glyph pair joins them.
+    assert walk("ስል", EncoderConfig()) == [("ስል", 0)]
+    paired = EncoderConfig(glyph_pairs=(GlyphPair(a="ል", b="ር", anywhere=True),))
+    assert walk("ስል", paired) == [("ስል", 0), ("ስር", 2)]
+    assert walk("ውምብር", EncoderConfig(max_encodings=1)) == [("ውምብር", 0)]
+
+
+@settings(max_examples=300)
+@given(key=st.text(alphabet=st.sampled_from("ምንብፍፕኝጽጥጭኽልርስአ"), max_size=6),
+       config=staging_configs)
+def test_a_rule_site_is_found_where_a_stage_has_one(key, config):
+    # The one search agrees with the site finders and the downgrade.
+    has_site = bool(encoder._nasal_sites(key)
+                    or encoder._glyph_sites(key, config._glyph_partners)
+                    or lcd_mistrike(key, config) != key)
+    assert bool(config._rule_site(key)) == has_site
+
+
 def test_matches_requires_both_words():
     with pytest.raises(EmptyWordError):
         matches("", "ላም")

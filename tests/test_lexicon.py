@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from amharic_metaphone import lexicon
 from amharic_metaphone.encoder import EncoderConfig, Tier, encode
 from amharic_metaphone.errors import (
@@ -25,7 +26,6 @@ from amharic_metaphone.lexicon import (
     load_lexicon,
     suggest,
 )
-from test_distance import reference
 from test_encoder import _RULE_PARTNERS, rule_dense_words, staging_configs
 
 WY = EncoderConfig(wy_as_vowels=True)
@@ -178,6 +178,20 @@ def test_suggest_respects_limit():
         suggest("ሊም", index, limit=0)
 
 
+@pytest.mark.parametrize("query", ["ሊም", "ጤና"])   # with candidates, and without
+def test_suggest_refuses_a_bad_limit_before_any_work(query):
+    index = build_index(make_lexicon("ላም", "ሎሚ", "ለም", "ልማ"))
+    assert bool(suggest(query, index)) == (query == "ሊም")
+    # Neither the bad word nor the other config is reached.
+    for args in ((query, index), ("ላx", index), (query, index, WY)):
+        for limit in (2.5, True, "3", None):
+            with pytest.raises(TypeError, match="^limit must be an int$"):
+                suggest(*args, limit=limit)
+        for limit in (0, -3):
+            with pytest.raises(ValueError, match="^limit must be at least 1$"):
+                suggest(*args, limit=limit)
+
+
 def test_suggest_with_no_shared_keys_is_empty():
     index = build_index(make_lexicon("ጤና"))
     assert suggest("ላም", index) == []
@@ -212,6 +226,16 @@ def test_suggest_checks_a_hand_built_index(tmp_path):
     path = tmp_path / "index.txt"
     dump_index(index, path)
     assert load_index(path) == index
+
+
+def test_suggest_keeps_a_hand_built_int_tier_of_the_canonical_bucket():
+    # The query's canonical bucket is copied as it stands, so a plain int
+    # tier there comes back as that int, not as a Tier member.
+    index = EncodingIndex({"ልም": {"ላም": 0, "ለም": 2}},
+                          fingerprint=EncoderConfig().fingerprint)
+    results = suggest("ላም", index)
+    assert results == [("ላም", 0, 0), ("ለም", 2, 1)]
+    assert [type(s.match_tier) for s in results] == [int, int]
 
 
 def test_a_hand_built_tier_outside_the_tiers_is_refused_on_load(tmp_path):
@@ -513,19 +537,15 @@ def lexicons_and_respellings(draw):
     return sorted(words), respelling()
 
 
-@given(case=lexicons_and_respellings(), limit=st.integers(1, 12),
-       config=st.sampled_from([EncoderConfig(), WY]))
-def test_suggest_matches_a_brute_force_ranking(case, limit, config):
+@settings(max_examples=300)
+@given(case=lexicons_and_respellings() | st.tuples(
+           st.sets(rule_dense_words, min_size=1, max_size=12).map(sorted), rule_dense_words),
+       config=staging_configs, limit=st.integers(1, 12))
+def test_suggest_matches_a_brute_force_ranking(case, config, limit):
+    # Respellings share keys with the query at every tier, on either side;
+    # an unrelated query often shares none.
     words, query = case
-    query_tiers = {e.key: e.tier for e in encode(query, config)}
-    expected = []
-    for word in words:
-        tiers = [max(query_tiers[e.key], e.tier)
-                 for e in encode(word, config) if e.key in query_tiers]
-        if tiers:
-            expected.append((min(tiers), reference(query, word), word))
-    expected.sort()
     index = build_index(Lexicon(words=frozenset(words)), config)
     results = suggest(query, index, config, limit)
-    assert [(s.match_tier, s.distance, s.word) for s in results] == expected[:limit]
+    assert results == oracle.suggest(query, words, config, limit)
     assert all(type(s.match_tier) is Tier for s in results)
