@@ -1,5 +1,8 @@
 """Command-line front end: encode, suggest, index, and evaluate.
 
+A call builds the sub-parser its first argument names, or all four when
+it names none. argparse reads no other sub-parser, so no output differs.
+
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
 malformed files, undecodable input, words the encoder rejects). A reader
 that closes stdout early ends the run quietly with 0, as Unix filters do.
@@ -38,30 +41,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return value
-
-
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--profile",
-        metavar="PATH|none",
-        default=None,
-        help="mistrike profile file, or 'none' to disable the "
-        "input-method tier (default: bundled phonetic-keyboard profile)",
-    )
-    parser.add_argument(
-        "--wy-vowels",
-        action="store_true",
-        help="also drop non-initial w/y carriers when building keys",
-    )
-
-
-def _add_format_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("text", "jsonl"),
-        default="text",
-        help="output format (default: text)",
-    )
 
 
 def _config(args: argparse.Namespace) -> EncoderConfig:
@@ -209,85 +188,87 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_arguments(name: str, parser: argparse.ArgumentParser) -> None:
+    if name == "encode":
+        parser.add_argument("words", nargs="*", metavar="WORD")
+        parser.add_argument("--stdin", action="store_true", help=(
+            "read words from standard input; tokens holding a scalar the "
+            "encoder does not support pass through as written, flagged with "
+            "tier '-'"))
+    elif name == "suggest":
+        parser.add_argument("word", metavar="WORD")
+        parser.add_argument("--lexicon", metavar="FILE",
+                            help="lexicon to index for this query")
+        parser.add_argument("--index", metavar="FILE",
+                            help="index dump written by 'index' under the "
+                            "same --profile and --wy-vowels")
+        parser.add_argument("--limit", type=_positive_int, default=10,
+                            help="max results (default: 10)")
+    elif name == "index":
+        parser.add_argument("--lexicon", required=True, metavar="FILE")
+        parser.add_argument("--out", required=True, metavar="FILE")
+    else:  # evaluate
+        parser.add_argument("--corpus", required=True, metavar="FILE")
+        parser.add_argument("--lexicon", metavar="FILE")
+    parser.add_argument(
+        "--profile",
+        metavar="PATH|none",
+        default=None,
+        help="mistrike profile file, or 'none' to disable the "
+        "input-method tier (default: bundled phonetic-keyboard profile)",
+    )
+    parser.add_argument(
+        "--wy-vowels",
+        action="store_true",
+        help="also drop non-initial w/y carriers when building keys",
+    )
+    if name != "index":  # index writes a file, not stdout
+        parser.add_argument("--format", choices=("text", "jsonl"), default="text",
+                            help="output format (default: text)")
+
+
+# name -> (help, description, handler)
+_COMMANDS = {
+    "encode": ("print phonetic keys for words", (
+        "Print each word's phonetic keys, one 'word<TAB>tier<TAB>key' "
+        "line per key. Tier 0 is the canonical key; 1-3 are alternates."
+    ), _cmd_encode),
+    "suggest": ("rank lexicon words phonetically close to a word", (
+        "Print lexicon words sharing a phonetic key with WORD, one "
+        "'word<TAB>tier<TAB>distance' line each, best first. Give "
+        "exactly one of --lexicon and --index."
+    ), _cmd_suggest),
+    "index": ("build and save a phonetic index of a lexicon", (
+        "Encode every lexicon word and write the key->word index as a "
+        "sorted, reloadable text dump."
+    ), _cmd_index),
+    "evaluate": ("score the encoder against a misspelling corpus", (
+        "Read 'canonical<TAB>variant<TAB>type' rows and report match "
+        "rates per error type. With --lexicon, also list canonicals "
+        "missing from that lexicon."
+    ), _cmd_evaluate),
+}
+
+
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="amharic-metaphone",
         description="Phonetic keys and fuzzy dictionary lookup for Amharic.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p_encode = sub.add_parser(
-        "encode", help="print phonetic keys for words", description=(
-            "Print each word's phonetic keys, one 'word<TAB>tier<TAB>key' "
-            "line per key. Tier 0 is the canonical key; 1-3 are alternates."
-        )
-    )
-    p_encode.add_argument("words", nargs="*", metavar="WORD")
-    p_encode.add_argument(
-        "--stdin",
-        action="store_true",
-        help="read words from standard input; tokens holding a scalar the "
-        "encoder does not support pass through as written, flagged with "
-        "tier '-'",
-    )
-    _add_config_flags(p_encode)
-    _add_format_flag(p_encode)
-    p_encode.set_defaults(func=_cmd_encode, parser=p_encode)
-
-    p_suggest = sub.add_parser(
-        "suggest", help="rank lexicon words phonetically close to a word",
-        description=(
-            "Print lexicon words sharing a phonetic key with WORD, one "
-            "'word<TAB>tier<TAB>distance' line each, best first. Give "
-            "exactly one of --lexicon and --index."
-        )
-    )
-    p_suggest.add_argument("word", metavar="WORD")
-    p_suggest.add_argument("--lexicon", metavar="FILE",
-                           help="lexicon to index for this query")
-    p_suggest.add_argument("--index", metavar="FILE",
-                           help="index dump written by 'index' under the same "
-                           "--profile and --wy-vowels")
-    p_suggest.add_argument(
-        "--limit", type=_positive_int, default=10, help="max results (default: 10)"
-    )
-    _add_config_flags(p_suggest)
-    _add_format_flag(p_suggest)
-    p_suggest.set_defaults(func=_cmd_suggest, parser=p_suggest)
-
-    p_index = sub.add_parser(
-        "index", help="build and save a phonetic index of a lexicon",
-        description=(
-            "Encode every lexicon word and write the key->word index as a "
-            "sorted, reloadable text dump."
-        )
-    )
-    p_index.add_argument("--lexicon", required=True, metavar="FILE")
-    p_index.add_argument("--out", required=True, metavar="FILE")
-    _add_config_flags(p_index)
-    p_index.set_defaults(func=_cmd_index, parser=p_index)
-
-    p_eval = sub.add_parser(
-        "evaluate", help="score the encoder against a misspelling corpus",
-        description=(
-            "Read 'canonical<TAB>variant<TAB>type' rows and report match "
-            "rates per error type. With --lexicon, also list canonicals "
-            "missing from that lexicon."
-        )
-    )
-    p_eval.add_argument("--corpus", required=True, metavar="FILE")
-    p_eval.add_argument("--lexicon", metavar="FILE")
-    _add_config_flags(p_eval)
-    _add_format_flag(p_eval)
-    p_eval.set_defaults(func=_cmd_evaluate, parser=p_eval)
-
+    for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:
+        help_text, description, handler = _COMMANDS[name]
+        command = sub.add_parser(name, help=help_text, description=description)
+        _add_arguments(name, command)
+        command.set_defaults(func=handler, parser=command)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         if args.command == "encode":
             if args.stdin and args.words:
                 args.parser.error("WORD arguments cannot be mixed with --stdin")

@@ -1,11 +1,13 @@
 """End-to-end tests for the command-line front end.
 
 Most tests run in-process through main() so stdout/stderr and exit
-codes can be asserted exactly; subprocess tests cover the `python -m`
-wiring, undecodable stdin bytes, a reader that closes the pipe and the
+codes can be asserted exactly; a property checks that the parser built
+for an argv list parses it as the all-commands parser does; subprocess
+tests cover the `python -m` wiring, undecodable stdin bytes, a reader that closes the pipe and the
 modules the CLI imports.
 """
 
+import contextlib
 import errno
 import io
 import json
@@ -13,10 +15,13 @@ import os
 import subprocess
 import sys
 import unicodedata
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amharic_metaphone.cli import _SEPARATORS, main
+from amharic_metaphone.cli import _SEPARATORS, _build_parser, main
 from amharic_metaphone.ethiopic import SUPPORTED, data_dir
 
 LEXICON = str(data_dir() / "lexicon.txt")
@@ -90,16 +95,94 @@ def test_usage_errors_print_argparse_text_and_exit_one(capsys, monkeypatch):
     )
 
 
+# The command names, in the order the top-level help lists them, each
+# with the help line printed beside it.
+HELP_LINES = {
+    "encode": "print phonetic keys for words",
+    "suggest": "rank lexicon words phonetically close to a word",
+    "index": "build and save a phonetic index of a lexicon",
+    "evaluate": "score the encoder against a misspelling corpus",
+}
+
+
 def test_unknown_flag_and_missing_subcommand_exit_one(capsys):
+    # Only substrings that Python 3.10 to 3.13 all print are pinned.
     assert run(capsys, "encode", "--nope", "ላም")[0] == 1
-    assert run(capsys)[0] == 1
-    assert run(capsys, "frobnicate")[0] == 1
+    code, out, err = run(capsys)
+    assert (code, out) == (1, "")
+    assert "the following arguments are required: command" in err
+    code, out, err = run(capsys, "frobnicate")
+    assert (code, out) == (1, "")
+    assert "invalid choice" in err and "frobnicate" in err
+    assert all(name in err for name in HELP_LINES)
 
 
-def test_help_exits_zero(capsys):
+def test_help_exits_zero(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     code, out, _ = run(capsys, "--help")
     assert code == 0
-    assert "encode" in out and "evaluate" in out
+    lines = out.splitlines()
+    listed = [
+        next(i for i, line in enumerate(lines) if line.split() == [name, *help_line.split()])
+        for name, help_line in HELP_LINES.items()
+    ]
+    assert listed == sorted(listed)
+
+
+def test_main_without_an_argument_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["evaluate", "--corpus", CORPUS, "--format", "jsonl"], ["evaluate", "-h"]):
+        expected = run(capsys, *argv)
+        assert expected[0] == 0 and expected[1]
+        monkeypatch.setattr(sys, "argv", ["amharic-metaphone", *argv])
+        code = main()
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
+
+
+def _parse(parser, argv):
+    """Exit code, stdout, stderr and namespace of parser.parse_args(argv).
+
+    The namespace's sub-parser is given by its prog and its help text.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    code, args = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    if args is not None:
+        args["parser"] = (args["parser"].prog, args["parser"].format_help())
+    return code, out.getvalue(), err.getvalue(), args
+
+
+_ARGV_TOKENS = st.one_of(
+    st.sampled_from(list(HELP_LINES)),
+    st.sampled_from([
+        "--stdin", "--lexicon", "--index", "--limit", "--out", "--corpus",
+        "--profile", "--wy-vowels", "--format", "-h", "--help", "--",
+        "--nope", "--he",
+    ]),
+    st.sampled_from(["text", "jsonl", "none", "0", "3", "words.txt"]),
+    st.text(st.sampled_from(sorted(SUPPORTED) + list("abcxyz")), min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(_ARGV_TOKENS, max_size=6),
+        st.builds(lambda name, rest: [name, *rest], st.sampled_from(list(HELP_LINES)),
+                  st.lists(_ARGV_TOKENS, max_size=6)),
+    )
+)
+def test_the_parser_built_for_argv_parses_it_as_the_full_parser_does(argv):
+    # main() builds only the sub-parser argv[0] names; the all-commands
+    # parser, which main() builds for argv naming no command, is the
+    # reference.
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        assert _parse(_build_parser(argv), argv) == _parse(_build_parser(()), argv)
 
 
 def test_encode_non_ethiopic_argument_is_a_data_error(capsys):
