@@ -38,17 +38,37 @@ from .evaluate import (
     load_corpus,
     matches,
 )
-from .lexicon import (
-    EncodingIndex,
-    Lexicon,
-    Suggestion,
-    build_index,
-    distance,
-    dump_index,
-    load_index,
-    load_lexicon,
-    suggest,
-)
+
+# The lexicon module's names are loaded on first use (PEP 562): encoding
+# a word or scoring a corpus never reads them. No name here is a
+# submodule's, so reading one cannot rebind another. The evaluate
+# submodule stays eager, as importing it sets the package attribute
+# evaluate to the module, and the import above rebinds the function.
+_LEXICON_NAMES = frozenset({
+    "EncodingIndex",
+    "Lexicon",
+    "Suggestion",
+    "build_index",
+    "distance",
+    "dump_index",
+    "load_index",
+    "load_lexicon",
+    "suggest",
+})
+
+
+def __getattr__(name: str):
+    if name not in _LEXICON_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import lexicon
+
+    value = globals()[name] = getattr(lexicon, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LEXICON_NAMES})
+
 
 __version__ = "0.1.0"
 

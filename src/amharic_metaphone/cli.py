@@ -11,7 +11,6 @@ that closes stdout early ends the run quietly with 0, as Unix filters do.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -71,6 +70,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     config = _config(args)
     words = _stdin_words() if args.stdin else args.words
     jsonl = args.format == "jsonl"
+    if jsonl:
+        import json  # here, as text output never needs it
     # Each output line leaves in one write, newline included (print()
     # makes two). Batching lines into fewer writes would change what
     # perfbench's stream-encode times, since it stamps each line end.
@@ -117,6 +118,8 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
         # Only a loaded dump can mismatch; name it, as its LoadErrors do.
         raise ConfigMismatchError(f"{args.index}: {exc}") from None
     if args.format == "jsonl":
+        import json
+
         record = {
             "word": args.word,
             "suggestions": [
@@ -155,6 +158,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         # Name the corpus file, as its LoadErrors do.
         raise EmptyCorpusError(f"{args.corpus}: {exc}") from None
     if args.format == "jsonl":
+        import json
+
         record = {
             "config": {
                 "wy_as_vowels": report.wy_as_vowels,

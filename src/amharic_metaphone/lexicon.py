@@ -9,7 +9,6 @@ itself.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -20,6 +19,8 @@ from .encoder import (
     Tier,
     _canonical,
     _default_config,
+    _Frozen,
+    _Record,
     _unique_keys,
 )
 from .errors import ConfigMismatchError, LoadError
@@ -113,11 +114,13 @@ def _masks(query: str) -> dict[str, int]:
     return peq
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(_Frozen):
     """A set of known-good words."""
 
-    words: frozenset[str]
+    _fields = ("words",)
+
+    def __init__(self, words: frozenset[str]):
+        object.__setattr__(self, "words", words)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -135,27 +138,34 @@ class Suggestion(NamedTuple):
     distance: int
 
 
-@dataclass
-class EncodingIndex:
+class EncodingIndex(_Record):
     """Inverted index: key -> {word: best tier that produced the key}.
 
     fingerprint is the fingerprint of the config that built the keys:
     one token without whitespace, as a dump's second line holds it, or
     ValueError with load_index's text. suggest() compares it with the
-    query's config.
+    query's config. The index holds a copy of mapping in which each
+    tier is a Tier member: a tier Tier() refuses is a ValueError. add()
+    converts its tier too, so suggest() returns Tier members only.
     """
 
-    mapping: dict[str, dict[str, Tier]] = field(default_factory=dict)
-    fingerprint: str = field(default="", kw_only=True)
+    _fields = ("mapping", "fingerprint")
 
-    def __post_init__(self):
-        if self.fingerprint.split() != [self.fingerprint]:
+    def __init__(self, mapping: Mapping[str, Mapping[str, Tier]] | None = None,
+                 *, fingerprint: str = ""):
+        if fingerprint.split() != [fingerprint]:
             raise ValueError(_NO_FINGERPRINT)
+        self.mapping: dict[str, dict[str, Tier]] = {
+            key: {word: Tier(tier) for word, tier in bucket.items()}
+            for key, bucket in (mapping or {}).items()
+        }
+        self.fingerprint = fingerprint
 
     def __len__(self) -> int:
         return len(self.mapping)
 
     def add(self, key: str, word: str, tier: Tier) -> None:
+        tier = Tier(tier)
         bucket = self.mapping.setdefault(key, {})
         current = bucket.get(word)
         if current is None or tier < current:
@@ -172,6 +182,7 @@ def load_lexicon(path: Path | str) -> Lexicon:
     naming the line.
     """
     path = Path(path)
+    unsupported = ethiopic._unsupported_search()
 
     # A generator, so frozenset() builds the one table the Lexicon keeps.
     def words() -> Iterator[str]:
@@ -179,7 +190,7 @@ def load_lexicon(path: Path | str) -> Lexicon:
             word = raw.split("#", 1)[0].strip()
             if not word:
                 continue
-            if not ethiopic.SUPPORTED.issuperset(word):
+            if unsupported(word):
                 raise LoadError(str(ethiopic._unsupported(word)), path=path, line=lineno)
             yield word
 
@@ -304,6 +315,9 @@ def load_index(path: Path | str) -> EncodingIndex:
     if len(fields) != 3 or fields[:2] != ["#", "fingerprint"]:
         raise LoadError(_NO_FINGERPRINT, path=path, line=2)
     index = EncodingIndex(fingerprint=fields[2])
+    # Filled here, not through add(): the tiers are Tier members already.
+    mapping = index.mapping
+    unsupported = ethiopic._unsupported_search()
     seen: dict[str, str] = {}
     for lineno, line in lines:
         if not line.strip() or line.startswith("#"):
@@ -316,11 +330,15 @@ def load_index(path: Path | str) -> EncodingIndex:
             raise LoadError(f"empty {'word' if key else 'key'}", path=path, line=lineno)
         shared = seen.get(word)
         if shared is None:
-            if not ethiopic.SUPPORTED.issuperset(word):
+            if unsupported(word):
                 raise LoadError(str(ethiopic._unsupported(word)), path=path, line=lineno)
             seen[word] = shared = word
         tier = _TIERS.get(tier_token)
         if tier is None:
             raise LoadError(f"bad tier {tier_token!r}", path=path, line=lineno)
-        index.add(key, shared, tier)
+        bucket = mapping.get(key)
+        if bucket is None:
+            mapping[key] = {shared: tier}
+        elif shared not in bucket or tier < bucket[shared]:
+            bucket[shared] = tier
     return index

@@ -7,10 +7,10 @@ character before being pinned here.
 """
 
 import gc
+import inspect
 import shutil
 import time
 import weakref
-from dataclasses import fields
 from functools import lru_cache
 from itertools import combinations
 
@@ -399,7 +399,7 @@ def test_bundled_fingerprints_are_pinned():
 
 
 def test_each_declared_rule_that_moves_a_key_moves_the_fingerprint():
-    assert [f.name for f in fields(EncoderConfig)] == [
+    assert list(inspect.signature(EncoderConfig).parameters) == [
         "wy_as_vowels", "profile", "glyph_pairs", "max_encodings",
         "homophones", "vowel_carriers"]
     # A change to either script-table field that moves a key moves the
@@ -414,6 +414,23 @@ def test_each_declared_rule_that_moves_a_key_moves_the_fingerprint():
     assert one_pair.fingerprint != base
     with pytest.raises(ValueError, match="'ጥ' is not a first-order family form"):
         EncoderConfig(profile=(("ጥ", "ት"),))
+
+
+def test_config_reads_the_bundled_rules_once_per_construction(monkeypatch):
+    calls = []
+    default = encoder._default_config
+
+    def counted():
+        calls.append(1)
+        return default()
+
+    monkeypatch.setattr(encoder, "_default_config", counted)
+    assert EncoderConfig(wy_as_vowels=True) == WY
+    assert EncoderConfig(profile=None, glyph_pairs=()).homophones == WY.homophones
+    assert len(calls) == 2
+    explicit = {name: getattr(WY, name) for name in inspect.signature(EncoderConfig).parameters}
+    assert EncoderConfig(**explicit) == WY
+    assert len(calls) == 2
 
 
 @lru_cache(maxsize=None)

@@ -233,6 +233,15 @@ def test_step_maps_refuse_every_other_scalar(drawn):
                     text.translate(table)
 
 
+def test_the_loaders_check_finds_exactly_the_unsupported_scalars():
+    # Deleting every scalar the search finds, from a text of every scalar,
+    # leaves SUPPORTED in code point order.
+    everything = "".join(map(chr, range(0x110000)))
+    search = ethiopic._unsupported_search()
+    assert search.__self__.sub("", everything) == "".join(sorted(SUPPORTED))
+    assert search is ethiopic._unsupported_search()
+
+
 def test_vowel_carriers():
     # A carrier opens a key as አ and leaves no trace after a consonant.
     for ch in "አኡኢዓዔዕዖኧ":

@@ -228,24 +228,28 @@ def test_suggest_checks_a_hand_built_index(tmp_path):
     assert load_index(path) == index
 
 
-def test_suggest_keeps_a_hand_built_int_tier_of_the_canonical_bucket():
-    # The query's canonical bucket is copied as it stands, so a plain int
-    # tier there comes back as that int, not as a Tier member.
-    index = EncodingIndex({"ልም": {"ላም": 0, "ለም": 2}},
-                          fingerprint=EncoderConfig().fingerprint)
+def test_a_hand_built_index_holds_tier_members_only():
+    # Plain int tiers become Tier members, in a copy of the mapping, so
+    # suggest() never returns a mix of int and Tier; add() converts too.
+    mapping = {"ልም": {"ላም": 0, "ለም": 2}}
+    index = EncodingIndex(mapping, fingerprint=EncoderConfig().fingerprint)
+    assert mapping == {"ልም": {"ላም": 0, "ለም": 2}}
+    assert index.mapping is not mapping
     results = suggest("ላም", index)
     assert results == [("ላም", 0, 0), ("ለም", 2, 1)]
-    assert [type(s.match_tier) for s in results] == [int, int]
+    assert [type(s.match_tier) for s in results] == [Tier, Tier]
+    index.add("ልም", "ሎሚ", 1)
+    assert type(index.lookup("ልም")["ሎሚ"]) is Tier
 
 
-def test_a_hand_built_tier_outside_the_tiers_is_refused_on_load(tmp_path):
-    index = EncodingIndex({"ልም": {"ላም": 7}},
-                          fingerprint=EncoderConfig().fingerprint)
-    path = tmp_path / "index.txt"
-    dump_index(index, path)
-    with pytest.raises(LoadError) as exc:
-        load_index(path)
-    assert str(exc.value) == f"{path}:3: bad tier '7'"
+def test_a_hand_built_tier_outside_the_tiers_is_refused():
+    # load_index refuses such a tier in a dump (test_load_index_rejects_bad_files).
+    with pytest.raises(ValueError, match="7 is not a valid Tier"):
+        EncodingIndex({"ልም": {"ላም": 7}}, fingerprint=EncoderConfig().fingerprint)
+    index = EncodingIndex(fingerprint=EncoderConfig().fingerprint)
+    with pytest.raises(ValueError, match="7 is not a valid Tier"):
+        index.add("ልም", "ላም", 7)
+    assert index.mapping == {}
 
 
 def test_suggest_returns_at_once_when_no_word_shares_a_key():
